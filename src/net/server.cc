@@ -1,6 +1,7 @@
 #include "net/server.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -158,6 +159,9 @@ struct Server::Loop {
   int index = 0;
   int epoll_fd = -1;
   int listen_fd = -1;  ///< -1 on loops > 0 in accept round-robin fallback
+  /// Reserved descriptor (/dev/null) that AcceptNew gives up to shed a
+  /// connection when the process is out of fds; -1 without a listen fd.
+  int spare_fd = -1;
   int wake_event_fd = -1;
   std::thread thread;
 
@@ -309,6 +313,7 @@ bool Server::StartListeners(std::string* error) {
       ev.data.fd = loop->listen_fd;
       CBTREE_CHECK_EQ(
           epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, loop->listen_fd, &ev), 0);
+      loop->spare_fd = open("/dev/null", O_RDONLY | O_CLOEXEC);
     }
   }
   return true;
@@ -506,7 +511,8 @@ void Server::Shutdown() {
   for (auto& loop : loops_) {
     if (loop->epoll_fd != -1) close(loop->epoll_fd);
     if (loop->wake_event_fd != -1) close(loop->wake_event_fd);
-    loop->epoll_fd = loop->wake_event_fd = -1;
+    if (loop->spare_fd != -1) close(loop->spare_fd);
+    loop->epoll_fd = loop->wake_event_fd = loop->spare_fd = -1;
   }
   running_.store(false, std::memory_order_release);
 }
@@ -766,18 +772,20 @@ std::string Server::BuildStatsBody(StatsFormat format) const {
     out += line;
     const double interval_dt = last.t_end_s - last.t_begin_s;
     for (size_t s = 0; s < shards_.size(); ++s) {
-      double rate = 0.0;
-      if (intervals_recorded > 0 && interval_dt > 0) {
-        rate = static_cast<double>(
-                   CounterOf(last.delta,
-                             "srv.shard" + std::to_string(s) + ".executed")) /
-               interval_dt;
+      // The rate comes from the last stats interval; without a ticker there
+      // is none, and 0.0 would claim an idle shard.
+      char rate[32] = "n/a";
+      if (intervals_recorded > 0) {
+        const double executed = static_cast<double>(CounterOf(
+            last.delta, "srv.shard" + std::to_string(s) + ".executed"));
+        std::snprintf(rate, sizeof(rate), "%.1f",
+                      interval_dt > 0 ? executed / interval_dt : 0.0);
       }
       const obs::TimerSnapshot tree_t = StageTimerOf(snapshot, "tree", s);
       const obs::TimerSnapshot total_t = StageTimerOf(snapshot, "total", s);
       std::snprintf(
           line, sizeof(line),
-          "s%-5zu %12llu %10zu %9llu %10.1f %12.1f %12.1f %13.1f %13.1f\n",
+          "s%-5zu %12llu %10zu %9llu %10s %12.1f %12.1f %13.1f %13.1f\n",
           s,
           static_cast<unsigned long long>(
               shards_[s]->executed.load(std::memory_order_relaxed)),
@@ -1093,7 +1101,17 @@ void Server::AcceptNew(Loop* loop) {
                      SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      return;  // EAGAIN, or transient (EMFILE/ECONNABORTED): try next wake
+      if ((errno == EMFILE || errno == ENFILE) && loop->spare_fd != -1) {
+        // Out of fds. The listen fd is level-triggered, so leaving the
+        // connection queued would wake this loop again at once, forever.
+        // Give up the spare fd to accept it, close it, take the spare back.
+        close(loop->spare_fd);
+        fd = accept4(loop->listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
+        if (fd >= 0) close(fd);
+        loop->spare_fd = open("/dev/null", O_RDONLY | O_CLOEXEC);
+        if (fd >= 0) continue;
+      }
+      return;  // EAGAIN, or transient (ECONNABORTED): try next wake
     }
     int one = 1;
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));

@@ -142,6 +142,9 @@ uint64_t ShardLog::Append(RecordType type, Key key, Value value) {
     record.value = value;
     AppendRecord(record, &buffer_);
     ++buffered_records_;
+    if (!AppendedToOpenGroup()) {
+      group_appenders_.push_back(std::this_thread::get_id());
+    }
   }
   pending_cv_.notify_one();
   stats_.appends.fetch_add(1, std::memory_order_relaxed);
@@ -149,6 +152,11 @@ uint64_t ShardLog::Append(RecordType type, Key key, Value value) {
   tls_last_append.log = this;
   tls_last_append.lsn = lsn;
   return lsn;
+}
+
+bool ShardLog::AppendedToOpenGroup() const {
+  return std::find(group_appenders_.begin(), group_appenders_.end(),
+                   std::this_thread::get_id()) != group_appenders_.end();
 }
 
 uint64_t ShardLog::ThreadLastLsn() const {
@@ -160,9 +168,21 @@ void ShardLog::WaitDurable(uint64_t lsn) {
   if (durable_lsn_.load(std::memory_order_acquire) >= lsn) return;
   obs::ScopedTimer scoped(sync_wait_timer_);
   MutexLock lock(&mu_);
+  // A thread blocked here cannot add to the open group. If it appended to
+  // that group and was its last running appender, the group is sealed and
+  // the writer stops holding it open.
+  const bool member = AppendedToOpenGroup();
+  if (member) {
+    ++waiting_appenders_;
+    if (GroupSealed()) pending_cv_.notify_one();
+  }
   while (durable_lsn_.load(std::memory_order_acquire) < lsn) {
     mu_.Wait(&durable_cv_);
   }
+  // Still listed means that group has not flushed (this thread waited on an
+  // older LSN; a flush clears the list, and a blocked thread cannot rejoin
+  // it): running again, it may append to the group once more.
+  if (member && AppendedToOpenGroup()) --waiting_appenders_;
 }
 
 void ShardLog::SyncAll() {
@@ -204,13 +224,14 @@ void ShardLog::WriterLoop() {
       while (!stop_ && buffered_records_ == 0) mu_.Wait(&pending_cv_);
       if (buffered_records_ == 0) return;  // stop_ && drained
       if (group_commit_us_ > 0 && !stop_) {
-        // Coalescing window: stay asleep until the deadline so concurrent
-        // appenders pile into this group (notify wakes us early; keep
-        // waiting out the remainder).
+        // Coalescing window: hold the group open until the deadline so
+        // concurrent appenders pile into it, but no longer than some
+        // appender of the group is still running (appends and waiters
+        // notify; re-check and keep waiting out the remainder).
         const auto deadline =
             std::chrono::steady_clock::now() +
             std::chrono::microseconds(group_commit_us_);
-        while (!stop_) {
+        while (!stop_ && !GroupSealed()) {
           const auto now = std::chrono::steady_clock::now();
           if (now >= deadline) break;
           mu_.WaitFor(&pending_cv_, deadline - now);
@@ -222,6 +243,8 @@ void ShardLog::WriterLoop() {
       buffered_records_ = 0;
       buffered_first_lsn_ = 0;
       last_lsn = next_lsn_ - 1;
+      group_appenders_.clear();
+      waiting_appenders_ = 0;
     }
     if (!FlushGroup(group, first_lsn, record_count)) {
       // An unflushable log cannot honestly acknowledge anything again;

@@ -2,11 +2,18 @@
 //
 // Appenders (the shard's worker threads) serialize records into an in-memory
 // buffer under the log mutex and return immediately with their LSN; a
-// dedicated log-writer thread wakes on the first pending record, sleeps out a
-// configurable coalescing window (`group_commit_us`) so concurrent appends
-// pile into the same group, then writes the whole group with one write(2)
-// and makes it durable with at most one fsync — this is where the server's
+// dedicated log-writer thread wakes on the first pending record, holds the
+// group open for a coalescing window (`group_commit_us`) so concurrent
+// appends pile into it, then writes the whole group with one write(2) and
+// makes it durable with at most one fsync — this is where the server's
 // same-shard batching pays twice: K commits per fsync instead of one.
+//
+// The window is an upper bound. It ends early once every thread that has
+// appended to the open group is blocked in WaitDurable/SyncAll on this log:
+// no record can join the group then, so waiting out the deadline would only
+// add latency (with one worker per shard a group holds one record by
+// construction). While any such appender is still running, the window runs
+// to its deadline exactly as before.
 //
 // Durability is a single monotone watermark per shard (`durable_lsn`).
 // WaitDurable(lsn) blocks until the watermark covers `lsn`; with
@@ -27,6 +34,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "base/mutex.h"
 #include "base/thread_annotations.h"
@@ -50,8 +58,9 @@ struct WalOptions {
   std::string dir;  ///< shard log directory (created if absent)
   uint32_t shard = 0;
   FsyncMode fsync = FsyncMode::kData;
-  /// Coalescing window the writer sleeps after the first pending append
-  /// before flushing the group. 0 flushes as soon as the writer wakes.
+  /// Longest the writer holds a group open after its first append; it
+  /// flushes sooner once no appender of the group is still running. 0
+  /// flushes as soon as the writer wakes.
   uint32_t group_commit_us = 200;
   /// Segment rotation threshold (bytes of records per segment file).
   uint64_t segment_bytes = 64ull << 20;
@@ -118,6 +127,13 @@ class ShardLog {
 
   uint64_t Append(RecordType type, Key key, Value value);
   void WriterLoop();
+  /// True when the calling thread appended to the buffered group.
+  bool AppendedToOpenGroup() const CBTREE_REQUIRES(mu_);
+  /// True when every thread that appended to the buffered group is blocked
+  /// in WaitDurable, so no further record can join the group.
+  bool GroupSealed() const CBTREE_REQUIRES(mu_) {
+    return waiting_appenders_ == group_appenders_.size();
+  }
   /// One durability barrier on the current segment per the fsync mode
   /// (no-op under kOff). Returns false on syscall failure.
   bool SyncFd();
@@ -140,6 +156,11 @@ class ShardLog {
   uint64_t buffered_records_ CBTREE_GUARDED_BY(mu_) = 0;
   uint64_t buffered_first_lsn_ CBTREE_GUARDED_BY(mu_) = 0;
   uint64_t next_lsn_ CBTREE_GUARDED_BY(mu_) = 1;
+  // Early-flush accounting, per log and reset at each flush: the distinct
+  // threads that appended to the buffered group, and how many of them are
+  // blocked in WaitDurable now.
+  std::vector<std::thread::id> group_appenders_ CBTREE_GUARDED_BY(mu_);
+  size_t waiting_appenders_ CBTREE_GUARDED_BY(mu_) = 0;
   bool stop_ CBTREE_GUARDED_BY(mu_) = false;
   bool io_failed_ CBTREE_GUARDED_BY(mu_) = false;
 

@@ -1,12 +1,13 @@
 #include "wal/recovery.h"
 
 #include <dirent.h>
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -44,21 +45,75 @@ bool ListSegments(const std::string& dir, std::vector<SegmentRef>* out,
   return true;
 }
 
-bool ReadFileAll(const std::string& path, std::string* out,
-                 std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    *error = "wal: cannot read " + path + ": " + std::strerror(errno);
-    return false;
+// Streams one segment file through a fixed, caller-owned buffer, so
+// recovery memory stays constant however long the log is. A frame cut by
+// the end of one read moves to the front of the buffer before the next read
+// completes it.
+class SegmentReader {
+ public:
+  explicit SegmentReader(std::vector<uint8_t>* buffer) : buffer_(buffer) {}
+  ~SegmentReader() {
+    if (fd_ >= 0) ::close(fd_);
   }
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out->append(buf, n);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) *error = "wal: read error on " + path;
-  return ok;
-}
+  SegmentReader(const SegmentReader&) = delete;
+  SegmentReader& operator=(const SegmentReader&) = delete;
+
+  bool Open(const std::string& path, std::string* error) {
+    path_ = path;
+    fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    struct stat st;
+    if (fd_ < 0 || ::fstat(fd_, &st) != 0) {
+      *error = "wal: cannot read " + path + ": " + std::strerror(errno);
+      return false;
+    }
+    size_ = static_cast<uint64_t>(st.st_size);
+    return true;
+  }
+
+  /// Buffers at least `want` unconsumed bytes, or all that remain.
+  bool Fill(size_t want, std::string* error) {
+    if (available() >= want || eof_) return true;
+    std::memmove(buffer_->data(), buffer_->data() + begin_, available());
+    end_ -= begin_;
+    begin_ = 0;
+    while (end_ < buffer_->size()) {
+      const ssize_t n =
+          ::read(fd_, buffer_->data() + end_, buffer_->size() - end_);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        *error = "wal: read error on " + path_;
+        return false;
+      }
+      if (n == 0) {
+        eof_ = true;
+        break;
+      }
+      end_ += static_cast<size_t>(n);
+    }
+    return true;
+  }
+
+  const uint8_t* data() const { return buffer_->data() + begin_; }
+  size_t available() const { return end_ - begin_; }
+  void Consume(size_t n) {
+    begin_ += n;
+    offset_ += n;
+  }
+  /// File offset of data().
+  uint64_t offset() const { return offset_; }
+  /// File size when opened.
+  uint64_t size() const { return size_; }
+
+ private:
+  std::vector<uint8_t>* buffer_;
+  std::string path_;
+  int fd_ = -1;
+  uint64_t size_ = 0;
+  uint64_t offset_ = 0;
+  size_t begin_ = 0;
+  size_t end_ = 0;
+  bool eof_ = false;
+};
 
 RecoveryResult Fail(std::string message) {
   RecoveryResult result;
@@ -80,12 +135,16 @@ RecoveryResult RecoverShard(
   uint64_t expected_lsn = 0;  // 0: not pinned yet (first segment sets it)
   bool tail_torn = false;
   size_t next_index = 0;
+  std::vector<uint8_t> buffer(kRecoveryReadBytes);
   for (size_t i = 0; i < segments.size(); ++i) {
     const SegmentRef& seg = segments[i];
-    std::string data;
-    if (!ReadFileAll(seg.path, &data, &error)) return Fail(std::move(error));
+    SegmentReader reader(&buffer);
+    if (!reader.Open(seg.path, &error) ||
+        !reader.Fill(kSegmentHeaderSize, &error)) {
+      return Fail(std::move(error));
+    }
     const bool last = (i + 1 == segments.size());
-    if (data.size() < kSegmentHeaderSize) {
+    if (reader.available() < kSegmentHeaderSize) {
       // A header-short file can only come from a crash during segment
       // creation, which is necessarily the newest file; anywhere else it is
       // corruption, not crash damage.
@@ -93,7 +152,7 @@ RecoveryResult RecoverShard(
         return Fail("wal: " + seg.path +
                     " is shorter than a segment header mid-sequence");
       }
-      result.truncated_bytes += data.size();
+      result.truncated_bytes += reader.available();
       if (::unlink(seg.path.c_str()) != 0) {
         return Fail("wal: cannot remove torn segment " + seg.path + ": " +
                     std::strerror(errno));
@@ -103,8 +162,8 @@ RecoveryResult RecoverShard(
       break;
     }
     SegmentHeader header;
-    if (DecodeSegmentHeader(reinterpret_cast<const uint8_t*>(data.data()),
-                            data.size(), &header) != DecodeStatus::kOk) {
+    if (DecodeSegmentHeader(reader.data(), reader.available(), &header) !=
+        DecodeStatus::kOk) {
       return Fail("wal: " + seg.path + " has a corrupt segment header");
     }
     if (header.shard != shard) {
@@ -125,13 +184,15 @@ RecoveryResult RecoverShard(
     expected_lsn = header.start_lsn;
     ++result.segments;
 
-    size_t offset = kSegmentHeaderSize;
-    while (offset < data.size()) {
+    reader.Consume(kSegmentHeaderSize);
+    for (;;) {
+      // Frames are fixed-size, so kNeedMore below means the file ended.
+      if (!reader.Fill(kRecordFrameSize, &error)) return Fail(std::move(error));
+      if (reader.available() == 0) break;
       WalRecord record;
       size_t consumed = 0;
-      const DecodeStatus status =
-          DecodeRecord(reinterpret_cast<const uint8_t*>(data.data()) + offset,
-                       data.size() - offset, &record, &consumed);
+      const DecodeStatus status = DecodeRecord(
+          reader.data(), reader.available(), &record, &consumed);
       if (status == DecodeStatus::kOk) {
         if (record.lsn != expected_lsn) {
           // CRC-valid but out-of-sequence: this is not torn-write damage.
@@ -143,7 +204,7 @@ RecoveryResult RecoverShard(
         ++result.records;
         result.max_lsn = record.lsn;
         ++expected_lsn;
-        offset += consumed;
+        reader.Consume(consumed);
         continue;
       }
       // kNeedMore (file ends mid-record) and kError (CRC/length/type
@@ -151,11 +212,11 @@ RecoveryResult RecoverShard(
       // and past this offset is unreachable garbage. Cut it off so the next
       // writer appends to a clean tail.
       if (::truncate(seg.path.c_str(),
-                     static_cast<off_t>(offset)) != 0) {
+                     static_cast<off_t>(reader.offset())) != 0) {
         return Fail("wal: cannot truncate torn tail of " + seg.path + ": " +
                     std::strerror(errno));
       }
-      result.truncated_bytes += data.size() - offset;
+      result.truncated_bytes += reader.size() - reader.offset();
       tail_torn = true;
       break;
     }

@@ -1,7 +1,8 @@
-// Crash recovery: scan a shard's segment directory, validate every record
-// (length, CRC32C, type, dense LSN continuity), replay the valid prefix
-// through a caller-supplied apply function, and truncate the log at the
-// first torn or corrupt record so the next writer appends to a clean tail.
+// Crash recovery: scan a shard's segment directory, stream each segment
+// through a fixed read buffer, validate every record (length, CRC32C, type,
+// dense LSN continuity), replay the valid prefix through a caller-supplied
+// apply function, and truncate the log at the first torn or corrupt record
+// so the next writer appends to a clean tail.
 //
 // The replay target is a callback, not a tree: the wal library stays below
 // src/ctree/ in the layering (the server adapts the callback onto
@@ -20,6 +21,7 @@
 #ifndef CBTREE_WAL_RECOVERY_H_
 #define CBTREE_WAL_RECOVERY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -28,6 +30,10 @@
 
 namespace cbtree {
 namespace wal {
+
+/// Recovery streams each segment through one read buffer of this size, so
+/// its memory does not grow with the log.
+inline constexpr size_t kRecoveryReadBytes = 64 << 10;
 
 struct RecoveryResult {
   bool ok = true;

@@ -1,10 +1,17 @@
 // In-process loopback integration tests for the net/ service layer: the
 // epoll server over every real tree protocol, pipelining and out-of-order
 // completion, malformed-frame handling over a live socket, backpressure at
-// the admission budget, graceful drain, and the open-loop driver's
-// zero-lost-requests accounting.
+// the admission budget, fd exhaustion at accept, graceful drain, and the
+// open-loop driver's zero-lost-requests accounting.
 
 #include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -344,6 +351,80 @@ TEST(NetServerTest, SignalDrainTriggerStopsServeUntil) {
   EXPECT_FALSE(server.running());
   client.Close();
   SignalDrain::ResetForTest();
+}
+
+double ProcessCpuSeconds() {
+  rusage usage = {};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) +
+         static_cast<double>(usage.ru_utime.tv_usec + usage.ru_stime.tv_usec) *
+             1e-6;
+}
+
+// Runs as its own process under ctest (gtest_discover_tests), and restores
+// the fd limit before it returns, so the lowered limit touches no other
+// test.
+TEST(NetServerTest, FdExhaustionShedsConnectionsWithoutSpinning) {
+  ServerOptions options = LoopbackOptions(Algorithm::kLinkType);
+  options.loops = 1;
+  Server server(options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  // The client socket exists before the fds run out; connect(2) then needs
+  // none, so the connection reaches the server's listen queue.
+  const int victim = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(victim, 0);
+  timeval receive_timeout = {};
+  receive_timeout.tv_sec = 2;
+  setsockopt(victim, SOL_SOCKET, SO_RCVTIMEO, &receive_timeout,
+             sizeof(receive_timeout));
+
+  rlimit saved = {};
+  ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit lowered = saved;
+  lowered.rlim_cur = std::min<rlim_t>(saved.rlim_cur, 256);
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  std::vector<int> fillers;
+  for (;;) {
+    const int fd = open("/dev/null", O_RDONLY | O_CLOEXEC);
+    if (fd < 0) break;
+    fillers.push_back(fd);
+  }
+  ASSERT_EQ(errno, EMFILE);
+
+  sockaddr_in address = {};
+  address.sin_family = AF_INET;
+  address.sin_port = htons(static_cast<uint16_t>(server.port()));
+  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(connect(victim, reinterpret_cast<sockaddr*>(&address),
+                    sizeof(address)),
+            0);
+  // The server cannot keep the connection, so it must close it rather
+  // than leave it queued: the client sees EOF or a reset, not a timeout.
+  char byte;
+  const ssize_t got = recv(victim, &byte, 1, 0);
+  const int recv_errno = errno;
+  EXPECT_TRUE(got == 0 || (got < 0 && recv_errno == ECONNRESET))
+      << "recv returned " << got << " errno " << recv_errno;
+  // Nothing is queued any more, so the level-triggered listen fd is quiet:
+  // the event loop sleeps instead of spinning on accept(2).
+  const double cpu_before = ProcessCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_LT(ProcessCpuSeconds() - cpu_before, 0.1);
+
+  for (int fd : fillers) close(fd);
+  close(victim);
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+  // With fds free again the server accepts and serves as before.
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
+  EXPECT_EQ(client.Insert(5, 55), Status::kInserted);
+  EXPECT_EQ(client.Search(5), 55);
+  client.Close();
+  server.Shutdown();
+  EXPECT_EQ(server.stats().completed, 2u);
 }
 
 TEST(NetServerTest, DriverAccountingIsLossFree) {

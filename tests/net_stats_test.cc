@@ -18,6 +18,7 @@
 #include <cstring>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -196,6 +197,69 @@ TEST(NetStatsTest, StatsRoundTripJsonAndTable) {
   }
   EXPECT_EQ(loop_stats, stats.stats_requests);
 }
+
+/// The exec/s cell of every shard row of a kTable stats body.
+std::vector<std::string> ExecRateCells(const std::string& table) {
+  std::vector<std::string> cells;
+  std::istringstream lines(table);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.size() < 2 || line[0] != 's' || line[1] < '0' || line[1] > '9') {
+      continue;
+    }
+    std::istringstream fields(line);
+    std::string shard, executed, keys, inflight, rate;
+    fields >> shard >> executed >> keys >> inflight >> rate;
+    cells.push_back(rate);
+  }
+  return cells;
+}
+
+TEST(NetStatsTest, TableSaysNaForExecRateWithoutATicker) {
+  ServerOptions options = LoopbackOptions(Algorithm::kLinkType);
+  options.shards = 2;
+  options.stats_interval_s = 0;  // no ticker: no interval to rate over
+  Server server(options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
+  for (Key key = 1; key <= 8; ++key) {
+    EXPECT_EQ(client.Insert(key, key), Status::kInserted);
+  }
+  const std::optional<std::string> table = client.Stats(StatsFormat::kTable);
+  ASSERT_TRUE(table.has_value());
+  EXPECT_EQ(ExecRateCells(*table),
+            std::vector<std::string>({"n/a", "n/a"}))
+      << *table;
+  client.Close();
+  server.Shutdown();
+}
+
+#if CBTREE_OBS_ENABLED
+TEST(NetStatsTest, TableShowsExecRateOnceAnIntervalIsRecorded) {
+  ServerOptions options = LoopbackOptions(Algorithm::kLinkType);
+  options.shards = 2;
+  options.stats_interval_s = 0.01;
+  Server server(options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
+  EXPECT_EQ(client.Insert(1, 1), Status::kInserted);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const std::optional<std::string> table = client.Stats(StatsFormat::kTable);
+  ASSERT_TRUE(table.has_value());
+  const std::vector<std::string> cells = ExecRateCells(*table);
+  ASSERT_EQ(cells.size(), 2u) << *table;
+  for (const std::string& cell : cells) {
+    EXPECT_NE(cell, "n/a") << *table;
+    EXPECT_GE(std::stod(cell), 0.0);
+  }
+  client.Close();
+  server.Shutdown();
+}
+#endif
 
 // ---------------------------------------------------------------------------
 // Interval reconciliation under concurrent load.

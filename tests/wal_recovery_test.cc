@@ -1,5 +1,7 @@
 // Crash-recovery scan: round-trips through ShardLog, torn-tail truncation,
-// the hard-failure taxonomy (corrupt header, wrong shard, LSN gaps), and the
+// the hard-failure taxonomy (corrupt header, wrong shard, LSN gaps),
+// streaming at the edges of the read buffer (checked against a whole-file
+// decode of the same bytes), and the
 // full tree integration — log under each retention policy, recover into a
 // fresh tree, and verify state equality plus CheckInvariants.
 
@@ -252,6 +254,152 @@ TEST(RecoveryTest, SegmentsAfterTornTailAreDropped) {
   EXPECT_TRUE(after.ok) << after.error;
   EXPECT_EQ(after.records, 6u);
   EXPECT_EQ(max_lsn, 6u);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::string out;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return out;
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
+  std::fclose(f);
+  return out;
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+/// What decoding one whole segment held in memory yields: the reference
+/// the streaming reader must match on the same bytes.
+struct WholeFileScan {
+  uint64_t records = 0;
+  uint64_t max_lsn = 0;
+  uint64_t truncated_bytes = 0;
+};
+
+WholeFileScan ScanWholeSegment(const std::string& bytes) {
+  WholeFileScan scan;
+  const auto* data = reinterpret_cast<const uint8_t*>(bytes.data());
+  size_t offset = kSegmentHeaderSize;
+  while (offset < bytes.size()) {
+    WalRecord record;
+    size_t consumed = 0;
+    if (DecodeRecord(data + offset, bytes.size() - offset, &record,
+                     &consumed) != DecodeStatus::kOk) {
+      scan.truncated_bytes = bytes.size() - offset;
+      break;
+    }
+    ++scan.records;
+    scan.max_lsn = record.lsn;
+    offset += consumed;
+  }
+  return scan;
+}
+
+/// Recovers a one-segment log holding exactly `bytes` and checks the
+/// result, and the repaired file, against the whole-file scan.
+void ExpectStreamingMatchesWholeFile(const std::string& bytes,
+                                     const std::string& label) {
+  TempDir tmp;
+  const std::string segment = FirstSegmentPath(tmp.path());
+  WriteFile(segment, bytes);
+  const WholeFileScan expected = ScanWholeSegment(bytes);
+  uint64_t applied = 0;
+  RecoveryResult result =
+      RecoverShard(tmp.path(), 0, [&](const WalRecord& record) {
+        EXPECT_EQ(record.lsn, ++applied) << label;
+      });
+  ASSERT_TRUE(result.ok) << label << ": " << result.error;
+  EXPECT_EQ(result.records, expected.records) << label;
+  EXPECT_EQ(result.max_lsn, expected.max_lsn) << label;
+  EXPECT_EQ(result.truncated_bytes, expected.truncated_bytes) << label;
+  EXPECT_EQ(static_cast<uint64_t>(FileSize(segment)),
+            bytes.size() - expected.truncated_bytes)
+      << label;
+}
+
+/// Bytes of a clean one-segment log of `count` records.
+std::string CleanSegmentBytes(int count) {
+  TempDir tmp;
+  WriteCleanLog(tmp.path(), count);
+  return ReadFile(FirstSegmentPath(tmp.path()));
+}
+
+// Frames are 33 bytes and the buffer 64 KiB, so record boundaries and
+// buffer boundaries never line up: some record always straddles a refill.
+static_assert(kRecoveryReadBytes % kRecordFrameSize != 0);
+
+TEST(RecoveryStreamingTest, MultiBufferSegmentMatchesWholeFile) {
+  // Just over three buffers of records.
+  const int count =
+      static_cast<int>(3 * kRecoveryReadBytes / kRecordFrameSize) + 7;
+  const std::string bytes = CleanSegmentBytes(count);
+  ASSERT_GT(bytes.size(), 3 * kRecoveryReadBytes);
+  ExpectStreamingMatchesWholeFile(bytes, "clean");
+}
+
+TEST(RecoveryStreamingTest, TornTailAroundBufferBoundariesMatchesWholeFile) {
+  const int count =
+      static_cast<int>(2 * kRecoveryReadBytes / kRecordFrameSize) + 50;
+  const std::string bytes = CleanSegmentBytes(count);
+  ASSERT_GT(bytes.size(), 2 * kRecoveryReadBytes + kRecordFrameSize);
+  // The first read ends inside the frame that starts at `carried`; the
+  // reader moves that frame's prefix to the front of the buffer, so the
+  // second read ends one buffer past `carried`. Cut the file at, just
+  // before and just past both ends.
+  const size_t carried =
+      kSegmentHeaderSize +
+      (kRecoveryReadBytes - kSegmentHeaderSize) / kRecordFrameSize *
+          kRecordFrameSize;
+  for (size_t boundary : {kRecoveryReadBytes, carried + kRecoveryReadBytes}) {
+    for (size_t cut = boundary - kRecordFrameSize;
+         cut <= boundary + kRecordFrameSize; ++cut) {
+      ExpectStreamingMatchesWholeFile(bytes.substr(0, cut),
+                                      "cut at " + std::to_string(cut));
+    }
+  }
+}
+
+TEST(RecoveryStreamingTest, CorruptRecordStraddlingABoundaryMatchesWholeFile) {
+  const int count =
+      static_cast<int>(kRecoveryReadBytes / kRecordFrameSize) + 20;
+  const std::string bytes = CleanSegmentBytes(count);
+  // The record that straddles the first buffer boundary.
+  const size_t straddler =
+      (kRecoveryReadBytes - kSegmentHeaderSize) / kRecordFrameSize;
+  const size_t start = kSegmentHeaderSize + straddler * kRecordFrameSize;
+  ASSERT_LT(start, kRecoveryReadBytes);
+  ASSERT_GT(start + kRecordFrameSize, kRecoveryReadBytes);
+  // Flip a byte on either side of the boundary; both must truncate there.
+  for (size_t at : {start + 4, start + kRecordFrameSize - 1}) {
+    std::string bad = bytes;
+    bad[at] = static_cast<char>(bad[at] ^ 0x20);
+    ExpectStreamingMatchesWholeFile(bad, "flip at " + std::to_string(at));
+  }
+}
+
+TEST(RecoveryStreamingTest, MultiSegmentLogOfMultiBufferSegments) {
+  TempDir tmp;
+  // Three and a bit segments, each longer than two read buffers.
+  const uint64_t segment_bytes = 2 * kRecoveryReadBytes + 1000;
+  const int count = static_cast<int>(3 * segment_bytes / kRecordFrameSize) + 9;
+  WriteCleanLog(tmp.path(), count, segment_bytes);
+  uint64_t applied = 0;
+  RecoveryResult result =
+      RecoverShard(tmp.path(), 0, [&](const WalRecord& record) {
+        EXPECT_EQ(record.lsn, ++applied);
+        EXPECT_EQ(record.key, static_cast<Key>(record.lsn));
+      });
+  EXPECT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.segments, 4u);
+  EXPECT_EQ(result.records, static_cast<uint64_t>(count));
+  EXPECT_EQ(result.max_lsn, static_cast<uint64_t>(count));
+  EXPECT_EQ(result.truncated_bytes, 0u);
 }
 
 /// WalBinding over a real ShardLog, as the server wires it.

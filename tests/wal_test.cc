@@ -1,7 +1,8 @@
 // WAL format and group-commit log writer: encode/decode round-trips, CRC
 // rejection, segment naming, and the ShardLog durability contract (dense
-// LSNs, WaitDurable watermark, group coalescing, rotation, all three fsync
-// modes, idempotent Close).
+// LSNs, WaitDurable watermark, group coalescing, the early flush once no
+// appender can join the group, rotation, all three fsync modes, idempotent
+// Close).
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -336,6 +338,113 @@ TEST(ShardLogTest, SyncAllCoversEveryThread) {
   log->SyncAll();
   EXPECT_GE(log->DurableLsn(), max_lsn.load());
   log->Close();
+}
+
+// A window far longer than any flush, so whether a group waited it out or
+// flushed early is unambiguous even on a slow or sanitized build.
+constexpr uint32_t kLongWindowUs = 200'000;
+
+WalOptions LongWindowOptions(const std::string& dir) {
+  WalOptions options = TestOptions(dir, FsyncMode::kOff);
+  options.group_commit_us = kLongWindowUs;
+  return options;
+}
+
+double ElapsedUs(std::chrono::steady_clock::time_point since) {
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - since)
+      .count();
+}
+
+TEST(ShardLogTest, LoneAppenderFlushesFarInsideTheWindow) {
+  TempDir tmp;
+  std::string error;
+  auto log = ShardLog::Open(LongWindowOptions(tmp.path()), &error);
+  ASSERT_NE(log, nullptr) << error;
+  // The only appender blocks on its own record: nothing can join the
+  // group, so the writer must not sleep out the window.
+  for (int i = 0; i < 3; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    log->WaitDurable(log->AppendInsert(i, i));
+    EXPECT_LT(ElapsedUs(start), kLongWindowUs / 2) << "append " << i;
+  }
+  EXPECT_EQ(log->stats().groups.load(), 3u);
+  EXPECT_EQ(log->stats().max_group.load(), 1u);
+  log->Close();
+}
+
+TEST(ShardLogTest, RunningAppenderKeepsTheWindowOpen) {
+  TempDir tmp;
+  std::string error;
+  auto log = ShardLog::Open(LongWindowOptions(tmp.path()), &error);
+  ASSERT_NE(log, nullptr) << error;
+  std::atomic<bool> appended{false};
+  std::atomic<bool> release{false};
+  std::thread other([&] {
+    const uint64_t lsn = log->AppendInsert(1, 1);
+    appended.store(true);
+    // Still running, not waiting: the group must stay open for it.
+    while (!release.load()) std::this_thread::yield();
+    log->WaitDurable(lsn);
+  });
+  while (!appended.load()) std::this_thread::yield();
+  const uint64_t groups_before = log->stats().groups.load();
+  log->WaitDurable(log->AppendInsert(2, 2));
+  EXPECT_EQ(log->stats().groups.load(), groups_before + 1);
+  EXPECT_EQ(log->stats().max_group.load(), 2u)
+      << "both records must land in one group";
+  release.store(true);
+  other.join();
+  log->Close();
+}
+
+TEST(ShardLogTest, AppenderThatNeverWaitsKeepsTheFullWindow) {
+  TempDir tmp;
+  std::string error;
+  auto log = ShardLog::Open(LongWindowOptions(tmp.path()), &error);
+  ASSERT_NE(log, nullptr) << error;
+  const auto start = std::chrono::steady_clock::now();
+  const uint64_t lsn = log->AppendInsert(1, 1);
+  // A waiter that never appended does not seal the group: the appender
+  // (this thread) is still running, so the writer waits out the window.
+  std::thread waiter([&] { log->WaitDurable(lsn); });
+  waiter.join();
+  EXPECT_GE(ElapsedUs(start), kLongWindowUs * 0.9);
+  EXPECT_GE(log->DurableLsn(), lsn);
+  log->Close();
+}
+
+TEST(ShardLogTest, OneThreadOverTwoLogsOutlivesEither) {
+  TempDir tmp_a;
+  TempDir tmp_b;
+  std::string error;
+  auto log_a = ShardLog::Open(LongWindowOptions(tmp_a.path()), &error);
+  ASSERT_NE(log_a, nullptr) << error;
+  auto log_b = ShardLog::Open(LongWindowOptions(tmp_b.path()), &error);
+  ASSERT_NE(log_b, nullptr) << error;
+  // The server's preload shape: one thread appends to every log in turn,
+  // then syncs each. No log may stay "open" for this thread afterwards.
+  for (int i = 0; i < 10; ++i) {
+    log_a->AppendInsert(i, i);
+    log_b->AppendInsert(i, i);
+  }
+  log_a->SyncAll();
+  log_b->SyncAll();
+  // Destroying one log must leave nothing behind that the other (or this
+  // thread) touches later.
+  log_a.reset();
+  EXPECT_EQ(log_b->ThreadLastLsn(), 10u);
+  const auto start = std::chrono::steady_clock::now();
+  log_b->WaitDurable(log_b->AppendInsert(100, 100));
+  EXPECT_LT(ElapsedUs(start), kLongWindowUs / 2);
+  std::thread stranger([&] {
+    // A thread that never touched log_a appends to and waits on log_b.
+    const auto started = std::chrono::steady_clock::now();
+    log_b->WaitDurable(log_b->AppendInsert(200, 200));
+    EXPECT_LT(ElapsedUs(started), kLongWindowUs / 2);
+  });
+  stranger.join();
+  log_b.reset();
 }
 
 TEST(ShardLogTest, OpenFailsOnUnwritableDirectory) {

@@ -200,8 +200,9 @@ struct CommonOptions {
                     "serve WAL durability barrier per group commit: "
                     "off | data (fdatasync) | full (fsync)");
     flags->Register("group_commit_us", &group_commit_us,
-                    "serve WAL group-commit coalescing window in "
-                    "microseconds");
+                    "serve WAL group-commit window in microseconds: the "
+                    "longest a group waits; it flushes sooner once no "
+                    "appender can join it");
     flags->Register("wal_segment_bytes", &wal_segment_bytes,
                     "serve WAL segment rotation size in bytes");
   }

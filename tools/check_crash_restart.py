@@ -3,7 +3,11 @@
 it on the same WAL directory, and verify zero acked-write loss.
 
 Usage: check_crash_restart.py <cbtree-binary> [--protocol=...] [--fsync=...]
-                              [--recovery=...] [--shards=N]
+                              [--recovery=...] [--shards=N] [--workers=N]
+
+--workers sets the server's worker threads (default 4). With one worker per
+shard every group holds one record and the log flushes it without waiting
+out the group-commit window, so the SIGKILL lands while groups flush early.
 
 The harness speaks the binary wire protocol directly (little-endian,
 length-prefixed: request = <I B Q q q>, response = <I B Q q>) so it can keep
@@ -47,10 +51,10 @@ def fail(message):
     sys.exit(1)
 
 
-def start_serve(binary, wal_dir, protocol, fsync, recovery, shards):
+def start_serve(binary, wal_dir, protocol, fsync, recovery, shards, workers):
     proc = subprocess.Popen(
         [binary, "serve", f"--protocol={protocol}", "--port=0",
-         "--items=2000", "--workers=4", f"--shards={shards}",
+         "--items=2000", f"--workers={workers}", f"--shards={shards}",
          f"--wal_dir={wal_dir}", f"--fsync={fsync}",
          f"--recovery={recovery}", "--group_commit_us=100"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
@@ -125,7 +129,7 @@ def main():
     if len(sys.argv) < 2:
         fail("usage: check_crash_restart.py <cbtree-binary> [flags...]")
     binary = sys.argv[1]
-    protocol, fsync, recovery, shards = "olc", "data", "leaf", "1"
+    protocol, fsync, recovery, shards, workers = "olc", "data", "leaf", "1", "4"
     for flag in sys.argv[2:]:
         if flag.startswith("--protocol="):
             protocol = flag.split("=", 1)[1]
@@ -135,10 +139,12 @@ def main():
             recovery = flag.split("=", 1)[1]
         if flag.startswith("--shards="):
             shards = flag.split("=", 1)[1]
+        if flag.startswith("--workers="):
+            workers = flag.split("=", 1)[1]
 
     with tempfile.TemporaryDirectory(prefix="cbtree_crash_") as wal_dir:
         serve, port, _ = start_serve(binary, wal_dir, protocol, fsync,
-                                     recovery, shards)
+                                     recovery, shards, workers)
 
         # Disjoint per-connection key ranges, far above the preload key
         # space (1..2*items), so the oracle owns its keys exclusively.
@@ -171,7 +177,7 @@ def main():
         # Restart on the same WAL directory: recovery must replay at least
         # every acked write (preload + acked inserts + torn-tail slack).
         serve2, port2, replayed = start_serve(binary, wal_dir, protocol,
-                                              fsync, recovery, shards)
+                                              fsync, recovery, shards, workers)
         try:
             if replayed is None:
                 fail("restarted serve printed no replay line")
@@ -208,8 +214,8 @@ def main():
             if serve2.returncode != 0:
                 fail(f"restarted serve exited {serve2.returncode}:\n{tail}")
             print(f"OK: {protocol} fsync={fsync} recovery={recovery} "
-                  f"shards={shards}: {len(oracle)} acked writes survived "
-                  f"SIGKILL (replayed {replayed} records)")
+                  f"shards={shards} workers={workers}: {len(oracle)} acked "
+                  f"writes survived SIGKILL (replayed {replayed} records)")
         finally:
             if serve2.poll() is None:
                 serve2.kill()
