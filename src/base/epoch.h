@@ -92,7 +92,7 @@ class CBTREE_CAPABILITY("epoch") EpochManager {
   /// Defers `deleter(ptr)` until every guard active now has exited. The
   /// pointer must already be unreachable from the shared structure. Advances
   /// the epoch and opportunistically frees whatever has quiesced; returns
-  /// how many nodes that freed (callers export it as a counter delta).
+  /// how many nodes that freed.
   uint64_t Retire(void* ptr, void (*deleter)(void*));
 
   template <typename T>

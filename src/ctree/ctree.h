@@ -74,7 +74,8 @@ struct CTreeStats {
   uint64_t restarts = 0;        ///< Optimistic Descent second passes
   uint64_t link_crossings = 0;  ///< B-link right-link follows
   /// Levels with at least one recorded latch acquisition, ascending.
-  /// Empty when the build disables observability (CBTREE_OBS=OFF).
+  /// Empty for OLC, which takes no node latches, and when the build
+  /// disables observability (CBTREE_OBS=OFF).
   std::vector<LatchLevelStats> latch_levels;
 };
 

@@ -199,12 +199,7 @@ OlcNode::OlcNode(int level_in, int capacity_in)
       values(new std::atomic<Value>[capacity_in]) {}
 
 OlcTree::OlcTree(int max_node_size)
-    : ConcurrentBTree(max_node_size), olc_root_(AllocateNode(/*level=*/1)) {
-  obs_restarts_ = registry().counter("olc.restarts");
-  obs_unlinks_ = registry().counter("olc.unlinks");
-  obs_epoch_retired_ = registry().counter("epoch.retired");
-  obs_epoch_freed_ = registry().counter("epoch.freed");
-}
+    : ConcurrentBTree(max_node_size), olc_root_(AllocateNode(/*level=*/1)) {}
 
 OlcTree::~OlcTree() CBTREE_EPOCH_QUIESCENT {
   // Quiescent teardown: free every linked node level by level (the leftmost
@@ -324,7 +319,6 @@ void OlcTree::UnlockObsolete(OlcNode* node) const {
 
 void OlcTree::RecordRestart() const {
   restarts_.fetch_add(1, std::memory_order_relaxed);
-  obs_restarts_.Add();
 }
 
 void OlcTree::MaybeDescendHook(OlcNode* node) const {
@@ -784,13 +778,10 @@ void OlcTree::TryUnlinkLeaf(OlcNode* victim) {
   }
   parent->count.store(count - 1, std::memory_order_relaxed);
   unlinks_.fetch_add(1, std::memory_order_relaxed);
-  obs_unlinks_.Add();
 
   UnlockObsolete(victim);
   latch_check::RequireEpochPinned(victim);
-  obs_epoch_retired_.Add();
-  uint64_t freed = epoch_.RetireObject(victim);
-  if (freed > 0) obs_epoch_freed_.Add(freed);
+  epoch_.RetireObject(victim);
   UnlockNode(left);
   UnlockNode(parent);
 }

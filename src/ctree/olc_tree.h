@@ -161,12 +161,6 @@ class OlcTree : public ConcurrentBTree {
   mutable std::atomic<uint64_t> unlinks_{0};
   std::atomic<DescendHook> hook_{nullptr};
   std::atomic<void*> hook_arg_{nullptr};
-
-  // obs instruments (no-ops when CBTREE_OBS=OFF).
-  obs::Counter obs_restarts_;
-  obs::Counter obs_unlinks_;
-  obs::Counter obs_epoch_retired_;
-  obs::Counter obs_epoch_freed_;
 };
 
 }  // namespace cbtree

@@ -108,6 +108,21 @@ int OpenListenSocket(const std::string& host, int port, bool reuseport,
   return fd;
 }
 
+/// Called after accept4 on `listen_fd` failed. A listen fd is
+/// level-triggered, so when the process is out of fds a connection left
+/// queued would wake its poller again at once, forever. This gives up the
+/// reserved `*spare_fd` to accept that connection, closes it, and takes the
+/// spare back. Returns true when it shed one (so the caller may accept
+/// again); false for any other failure, or with no spare to give up.
+bool ShedOnFdExhaustion(int listen_fd, int* spare_fd) {
+  if ((errno != EMFILE && errno != ENFILE) || *spare_fd == -1) return false;
+  close(*spare_fd);
+  const int fd = accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
+  if (fd >= 0) close(fd);
+  *spare_fd = open("/dev/null", O_RDONLY | O_CLOEXEC);
+  return fd >= 0;
+}
+
 }  // namespace
 
 /// Per-connection state. The read side (read_buffer/poisoned) belongs to
@@ -153,14 +168,15 @@ struct Server::Conn {
   }
 };
 
-/// One event loop: epoll set, wake eventfd, optionally its own listen fd
-/// (SO_REUSEPORT), and the connections whose read sides it owns.
+/// One event loop: epoll set, wake eventfd, its own listen fd (sharing the
+/// port through SO_REUSEPORT when there are several loops), and the
+/// connections whose read sides it owns.
 struct Server::Loop {
   int index = 0;
   int epoll_fd = -1;
-  int listen_fd = -1;  ///< -1 on loops > 0 in accept round-robin fallback
+  int listen_fd = -1;
   /// Reserved descriptor (/dev/null) that AcceptNew gives up to shed a
-  /// connection when the process is out of fds; -1 without a listen fd.
+  /// connection when the process is out of fds.
   int spare_fd = -1;
   int wake_event_fd = -1;
   std::thread thread;
@@ -172,8 +188,6 @@ struct Server::Loop {
   /// Connections whose workers left unflushed bytes, awaiting EPOLLOUT
   /// arming by this loop.
   std::vector<std::shared_ptr<Conn>> pending_write CBTREE_GUARDED_BY(mu);
-  /// Accepted fds handed over by loop 0 in the round-robin fallback.
-  std::vector<int> adopted_fds CBTREE_GUARDED_BY(mu);
 
   // Per-loop accounting (see LoopServerStats).
   std::atomic<uint64_t> connections_accepted{0};
@@ -221,11 +235,6 @@ struct Server::Shard {
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       obs_(RegistryCellCapacity(std::max(1, options_.shards))) {
-  obs_requests_ = obs_.counter("net.requests");
-  obs_rejected_ = obs_.counter("net.rejected");
-  obs_bad_frames_ = obs_.counter("net.bad_frames");
-  obs_batches_ = obs_.counter("net.batches");
-  obs_batched_requests_ = obs_.counter("net.batched_requests");
   obs_service_ns_ = obs_.timer("net.service_ns");
   obs_request_ns_ = obs_.timer("net.request_ns");
   const int shard_count = std::max(1, options_.shards);
@@ -265,38 +274,26 @@ bool Server::StartListeners(std::string* error) {
     loops_.push_back(std::move(loop));
   }
 
-  // Loop 0 always binds (with SO_REUSEPORT whenever more loops will try to
-  // share the port); its bound port anchors the rest.
-  const bool want_reuseport = loops > 1 && !options_.force_accept_round_robin;
-  int first = OpenListenSocket(options_.host, options_.port, want_reuseport,
-                               error);
-  if (first < 0 && want_reuseport) {
-    // Kernel without SO_REUSEPORT: retry plain and fall back to round-robin.
-    first = OpenListenSocket(options_.host, options_.port, false, error);
-  }
-  if (first < 0) return false;
-  loops_[0]->listen_fd = first;
-
-  sockaddr_in bound = {};
-  socklen_t bound_len = sizeof(bound);
-  getsockname(first, reinterpret_cast<sockaddr*>(&bound), &bound_len);
-  port_ = ntohs(bound.sin_port);
-
-  reuseport_ = want_reuseport;
-  for (int i = 1; reuseport_ && i < loops; ++i) {
-    std::string ignored;
-    int fd = OpenListenSocket(options_.host, port_, true, &ignored);
+  // Every loop binds its own listen socket, all with SO_REUSEPORT when
+  // there are several; loop 0's bound port anchors the rest.
+  const bool reuseport = loops > 1;
+  for (int i = 0; i < loops; ++i) {
+    const int fd = OpenListenSocket(
+        options_.host, i == 0 ? options_.port : port_, reuseport, error);
     if (fd < 0) {
-      // Fall back: close the extra sockets already opened; loop 0 accepts
-      // for everyone and hands fds over round-robin.
-      for (int j = 1; j < i; ++j) {
+      for (int j = 0; j < i; ++j) {
         close(loops_[j]->listen_fd);
         loops_[j]->listen_fd = -1;
       }
-      reuseport_ = false;
-      break;
+      return false;
     }
     loops_[i]->listen_fd = fd;
+    if (i == 0) {
+      sockaddr_in bound = {};
+      socklen_t bound_len = sizeof(bound);
+      getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len);
+      port_ = ntohs(bound.sin_port);
+    }
   }
 
   for (auto& loop : loops_) {
@@ -309,12 +306,10 @@ bool Server::StartListeners(std::string* error) {
     CBTREE_CHECK_EQ(
         epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, loop->wake_event_fd, &ev),
         0);
-    if (loop->listen_fd != -1) {
-      ev.data.fd = loop->listen_fd;
-      CBTREE_CHECK_EQ(
-          epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, loop->listen_fd, &ev), 0);
-      loop->spare_fd = open("/dev/null", O_RDONLY | O_CLOEXEC);
-    }
+    ev.data.fd = loop->listen_fd;
+    CBTREE_CHECK_EQ(
+        epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, loop->listen_fd, &ev), 0);
+    loop->spare_fd = open("/dev/null", O_RDONLY | O_CLOEXEC);
   }
   return true;
 }
@@ -440,7 +435,11 @@ bool Server::Start(std::string* error) {
                 &bound_len);
     stats_port_actual_ = ntohs(bound.sin_port);
     stats_stop_.store(false, std::memory_order_release);
-    stats_thread_ = std::thread([this] { StatsListenerLoop(); });
+    // Opened here, before Start returns, so the spare exists even if the
+    // process runs out of fds before the listener thread is scheduled.
+    const int spare_fd = open("/dev/null", O_RDONLY | O_CLOEXEC);
+    stats_thread_ =
+        std::thread([this, spare_fd] { StatsListenerLoop(spare_fd); });
   }
 #endif
 
@@ -544,7 +543,6 @@ ServerStats Server::stats() const {
   stats.stats_requests = stats_requests_.load();
   stats.bytes_in = bytes_in_.load();
   stats.bytes_out = bytes_out_.load();
-  stats.reuseport = reuseport_;
   stats.shards.reserve(shards_.size());
   for (const auto& shard : shards_) {
     ShardServerStats s;
@@ -590,8 +588,9 @@ ServerStats Server::stats() const {
 
 obs::Snapshot Server::MergedSnapshot() const {
   obs::Snapshot snapshot = obs_.Read();
-  // Functional accounting injected as "srv.*" so the merged view (and with
-  // it kStats, the JSONL series, and the Prometheus text) stays truthful
+  // Functional accounting injected as "srv.*": these plain atomics are the
+  // one counter set for what they count, and this puts them into the merged
+  // view (and with it kStats, the JSONL series, and the Prometheus text),
   // even when the build compiles the registry out (CBTREE_OBS=OFF).
   snapshot.counters["srv.connections_accepted"] =
       connections_accepted_.load(std::memory_order_relaxed);
@@ -667,7 +666,8 @@ obs::Snapshot Server::MergedSnapshot() const {
   }
   // Per-level latch telemetry folded across shards: each shard's tree keeps
   // its own registry, so level l's counters and contended-wait histograms
-  // merge into one "latch.L<l>.*" family (empty under CBTREE_OBS=OFF).
+  // merge into one "latch.L<l>.*" family (empty for OLC, which takes no
+  // node latches, and under CBTREE_OBS=OFF).
   for (const auto& shard : shards_) {
     const CTreeStats tree_stats = shard->tree->stats();
     for (const LatchLevelStats& level : tree_stats.latch_levels) {
@@ -863,7 +863,7 @@ std::string Server::BuildStatsBody(StatsFormat format) const {
   return out;
 }
 
-void Server::StatsListenerLoop() {
+void Server::StatsListenerLoop(int spare_fd) {
   while (!stats_stop_.load(std::memory_order_acquire)) {
     pollfd pfd = {};
     pfd.fd = stats_listen_fd_;
@@ -871,7 +871,10 @@ void Server::StatsListenerLoop() {
     int rc = poll(&pfd, 1, 100);
     if (rc <= 0) continue;
     int fd = accept4(stats_listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) continue;
+    if (fd < 0) {
+      ShedOnFdExhaustion(stats_listen_fd_, &spare_fd);
+      continue;
+    }
     timeval tv = {};
     tv.tv_sec = 1;
     setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
@@ -900,6 +903,7 @@ void Server::StatsListenerLoop() {
     }
     close(fd);
   }
+  if (spare_fd != -1) close(spare_fd);
 }
 
 void Server::TraceConn(obs::TraceEventKind kind, uint64_t conn_id) {
@@ -925,7 +929,7 @@ void Server::TraceRequest(obs::TraceEventKind kind, const Request& request,
 }
 
 void Server::EventLoop(Loop* loop) {
-  bool listen_closed = (loop->listen_fd == -1);
+  bool listen_closed = false;
   bool deadline_set = false;
   Clock::time_point drain_deadline;
   epoll_event events[64];
@@ -1002,14 +1006,6 @@ void Server::EventLoop(Loop* loop) {
       if ((events[i].events & EPOLLOUT) != 0) HandleWritable(conn);
       if ((events[i].events & EPOLLIN) != 0) HandleReadable(conn);
     }
-    // Fds handed over by loop 0 (round-robin fallback): register them here
-    // so this loop owns their read sides from the first byte.
-    std::vector<int> adopted;
-    {
-      MutexLock guard(&loop->mu);
-      adopted.swap(loop->adopted_fds);
-    }
-    for (int fd : adopted) AdoptConn(loop, fd);
     // Worker handoffs: arm EPOLLOUT for partially-flushed connections and
     // close the ones the workers found dead.
     std::vector<std::shared_ptr<Conn>> pending;
@@ -1042,14 +1038,7 @@ void Server::EventLoop(Loop* loop) {
       }
     }
   }
-  // Drain finished (or timed out): close everything this loop still owns,
-  // including any adopted-but-unregistered fds.
-  std::vector<int> adopted;
-  {
-    MutexLock guard(&loop->mu);
-    adopted.swap(loop->adopted_fds);
-  }
-  for (int fd : adopted) close(fd);
+  // Drain finished (or timed out): close everything this loop still owns.
   std::vector<std::shared_ptr<Conn>> remaining;
   remaining.reserve(loop->conns.size());
   for (auto& [fd, conn] : loop->conns) remaining.push_back(conn);
@@ -1068,70 +1057,32 @@ void Server::EventLoop(Loop* loop) {
   }
 }
 
-void Server::AdoptConn(Loop* loop, int fd) {
-  if (draining_.load(std::memory_order_acquire)) {
-    // The drain raced the handoff: count the accept so accepted == closed
-    // still holds, then close without serving.
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    loop->connections_accepted.fetch_add(1, std::memory_order_relaxed);
-    connections_closed_.fetch_add(1, std::memory_order_relaxed);
-    close(fd);
-    return;
-  }
-  auto conn = std::make_shared<Conn>();
-  conn->fd = fd;
-  conn->id = next_conn_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-  conn->loop = loop;
-  epoll_event ev = {};
-  ev.events = EPOLLIN;
-  ev.data.fd = fd;
-  if (epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-    close(fd);
-    return;
-  }
-  loop->conns[fd] = conn;
-  connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-  loop->connections_accepted.fetch_add(1, std::memory_order_relaxed);
-  TraceConn(obs::TraceEventKind::kConnOpen, conn->id);
-}
-
 void Server::AcceptNew(Loop* loop) {
   for (;;) {
     int fd = accept4(loop->listen_fd, nullptr, nullptr,
                      SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      if ((errno == EMFILE || errno == ENFILE) && loop->spare_fd != -1) {
-        // Out of fds. The listen fd is level-triggered, so leaving the
-        // connection queued would wake this loop again at once, forever.
-        // Give up the spare fd to accept it, close it, take the spare back.
-        close(loop->spare_fd);
-        fd = accept4(loop->listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
-        if (fd >= 0) close(fd);
-        loop->spare_fd = open("/dev/null", O_RDONLY | O_CLOEXEC);
-        if (fd >= 0) continue;
-      }
+      if (ShedOnFdExhaustion(loop->listen_fd, &loop->spare_fd)) continue;
       return;  // EAGAIN, or transient (ECONNABORTED): try next wake
     }
     int one = 1;
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    if (!reuseport_ && loops_.size() > 1) {
-      // Round-robin fallback: loop 0 accepts for everyone and deals fds
-      // out; a loop dealing to itself registers directly below.
-      Loop* target =
-          loops_[accept_rr_.fetch_add(1, std::memory_order_relaxed) %
-                 loops_.size()]
-              .get();
-      if (target != loop) {
-        {
-          MutexLock guard(&target->mu);
-          target->adopted_fds.push_back(fd);
-        }
-        WakeLoop(target);
-        continue;
-      }
+    auto conn = std::make_shared<Conn>();
+    conn->fd = fd;
+    conn->id = next_conn_id_.fetch_add(1, std::memory_order_relaxed) + 1;
+    conn->loop = loop;
+    epoll_event ev = {};
+    ev.events = EPOLLIN;
+    ev.data.fd = fd;
+    if (epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
+      close(fd);
+      continue;
     }
-    AdoptConn(loop, fd);
+    loop->conns[fd] = conn;
+    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+    loop->connections_accepted.fetch_add(1, std::memory_order_relaxed);
+    TraceConn(obs::TraceEventKind::kConnOpen, conn->id);
   }
 }
 
@@ -1181,7 +1132,6 @@ bool Server::DrainReadBuffer(const std::shared_ptr<Conn>& conn) {
     if (status == DecodeStatus::kError) {
       FlushBatch(conn, &batch);  // the well-formed prefix still executes
       bad_frames_.fetch_add(1, std::memory_order_relaxed);
-      obs_bad_frames_.Add();
       Response response;
       response.status = Status::kBadFrame;
       response.id = 0;
@@ -1214,7 +1164,6 @@ void Server::Admit(const std::shared_ptr<Conn>& conn, const Request& request,
                    Batch* batch) {
   requests_received_.fetch_add(1, std::memory_order_relaxed);
   conn->loop->requests_received.fetch_add(1, std::memory_order_relaxed);
-  obs_requests_.Add();
   if (draining_.load(std::memory_order_acquire)) {
     shutdown_rejected_.fetch_add(1, std::memory_order_relaxed);
     TraceRequest(obs::TraceEventKind::kReject, request, 0.0);
@@ -1230,7 +1179,6 @@ void Server::Admit(const std::shared_ptr<Conn>& conn, const Request& request,
   for (;;) {
     if (current >= options_.max_inflight) {
       rejected_.fetch_add(1, std::memory_order_relaxed);
-      obs_rejected_.Add();
       TraceRequest(obs::TraceEventKind::kReject, request, 0.0);
       Response response;
       response.status = Status::kRejected;
@@ -1285,11 +1233,9 @@ void Server::FlushBatch(const std::shared_ptr<Conn>& conn, Batch* batch) {
   const int shard_index = batch->shard;
   Shard& shard = *shards_[static_cast<size_t>(shard_index)];
   shard.batches.fetch_add(1, std::memory_order_relaxed);
-  obs_batches_.Add();
   if (batch->requests.size() > 1) {
     shard.batched_requests.fetch_add(batch->requests.size(),
                                      std::memory_order_relaxed);
-    obs_batched_requests_.Add(batch->requests.size());
   }
   shard.in_flight.fetch_add(batch->requests.size(),
                             std::memory_order_relaxed);
@@ -1620,7 +1566,6 @@ bool Server::LoopIdle(Loop* loop) {
   {
     MutexLock guard(&loop->mu);
     if (!loop->pending_write.empty()) return false;
-    if (!loop->adopted_fds.empty()) return false;
   }
   for (auto& [fd, conn] : loop->conns) {
     (void)fd;

@@ -9,9 +9,7 @@
 // latches. `loops` event-loop threads each own their own epoll set, wake
 // eventfd, and connection read sides. Every loop binds its own listen
 // socket to the same port via SO_REUSEPORT so the kernel spreads accepts
-// across loops; where that fails (or when forced for tests), loop 0 owns
-// the single listen fd and hands accepted fds to the other loops
-// round-robin.
+// across loops; Start fails if that bind fails.
 //
 // Batching: while draining one connection's read buffer, adjacent admitted
 // requests that map to the same shard are grouped into a single worker
@@ -75,8 +73,8 @@ struct ServerOptions {
   /// Independent trees the key space is hash-partitioned across; each shard
   /// gets its own dedicated worker pool (affinity).
   int shards = 1;
-  /// Event-loop threads; each owns an epoll set and (with SO_REUSEPORT) its
-  /// own listen socket on the shared port.
+  /// Event-loop threads; each owns an epoll set and its own listen socket
+  /// on the shared port (SO_REUSEPORT when there are several).
   int loops = 1;
   /// Total worker threads, divided across the shard pools (at least one
   /// worker per shard).
@@ -96,9 +94,6 @@ struct ServerOptions {
   /// Drain deadline for Shutdown(); connections still busy afterwards are
   /// closed hard.
   int drain_timeout_ms = 5000;
-  /// Test-only: skip SO_REUSEPORT and exercise the accept round-robin
-  /// fallback (loop 0 accepts, other loops adopt fds).
-  bool force_accept_round_robin = false;
   /// Request-lifecycle events (op_arrive/op_complete/reject, conn
   /// open/close) go here when non-null; must be thread-safe and outlive the
   /// server.
@@ -198,7 +193,6 @@ struct ServerStats {
   uint64_t bytes_out = 0;
   uint64_t batches = 0;           ///< sum of ShardServerStats::batches
   uint64_t batched_requests = 0;  ///< sum of ShardServerStats::batched_requests
-  bool reuseport = false;  ///< per-loop listen fds (vs accept round-robin)
   WalServerStats wal;
   std::vector<ShardServerStats> shards;
   std::vector<LoopServerStats> loops;
@@ -244,8 +238,9 @@ class Server {
   /// Runs CheckInvariants on every shard tree (quiescent callers only).
   void CheckAllInvariants() const;
 
-  /// Server-side metrics registry (request/service timers, op counters,
-  /// per-shard batch counters, per-shard stage histograms).
+  /// Server-side metrics registry (request/service timers, per-shard stage
+  /// histograms, the shard logs' timers). Counts live in plain atomics and
+  /// reach the merged view as "srv.*".
   const obs::Registry& metrics() const { return obs_; }
 
   /// One merged cumulative snapshot of everything the server knows: the
@@ -327,8 +322,9 @@ class Server {
 
   bool StartListeners(std::string* error);
   void EventLoop(Loop* loop);
+  /// Accepts and registers every queued connection on the loop's listen
+  /// fd, shedding them while the process is out of fds.
   void AcceptNew(Loop* loop);
-  void AdoptConn(Loop* loop, int fd);
   void HandleReadable(const std::shared_ptr<Conn>& conn);
   void HandleWritable(const std::shared_ptr<Conn>& conn);
   void CloseConn(const std::shared_ptr<Conn>& conn);
@@ -380,8 +376,10 @@ class Server {
   /// Loop 0's periodic sampler: records one interval into the ring and
   /// appends it to the stats file.
   void RecordStatsTick();
-  /// Dedicated Prometheus plain-text listener (own thread + socket).
-  void StatsListenerLoop();
+  /// Dedicated Prometheus plain-text listener (own thread + socket). Owns
+  /// and finally closes `spare_fd`, its reserve for shedding connections
+  /// while the process is out of fds.
+  void StatsListenerLoop(int spare_fd);
   /// True when no request is in flight anywhere and this loop's own
   /// connections have nothing left to flush.
   bool LoopIdle(Loop* loop);
@@ -411,9 +409,7 @@ class Server {
   std::chrono::steady_clock::time_point start_time_;
 
   int port_ = 0;
-  bool reuseport_ = false;
   std::atomic<uint64_t> next_conn_id_{0};
-  std::atomic<size_t> accept_rr_{0};  ///< fallback round-robin cursor
 
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
@@ -435,11 +431,6 @@ class Server {
   std::atomic<uint64_t> trace_sample_seq_{0};
 
   obs::Registry obs_;
-  obs::Counter obs_requests_;
-  obs::Counter obs_rejected_;
-  obs::Counter obs_bad_frames_;
-  obs::Counter obs_batches_;
-  obs::Counter obs_batched_requests_;
   obs::Timer obs_service_ns_;  ///< tree operation only
   obs::Timer obs_request_ns_;  ///< admission to response append
   std::vector<StageTimers> obs_stage_;  ///< per shard, index = shard id

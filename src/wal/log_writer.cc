@@ -108,7 +108,6 @@ std::unique_ptr<ShardLog> ShardLog::Open(const WalOptions& options,
   if (!log->OpenSegment(start_lsn, error)) return nullptr;
   if (options.registry != nullptr) {
     const std::string suffix = ".s" + std::to_string(options.shard);
-    log->append_counter_ = options.registry->counter("wal.append" + suffix);
     log->fsync_timer_ = options.registry->timer("wal.fsync_ns" + suffix);
     log->group_size_timer_ =
         options.registry->timer("wal.group_size" + suffix);
@@ -148,7 +147,6 @@ uint64_t ShardLog::Append(RecordType type, Key key, Value value) {
   }
   pending_cv_.notify_one();
   stats_.appends.fetch_add(1, std::memory_order_relaxed);
-  append_counter_.Add();
   tls_last_append.log = this;
   tls_last_append.lsn = lsn;
   return lsn;

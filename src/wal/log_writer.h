@@ -66,13 +66,15 @@ struct WalOptions {
   uint64_t segment_bytes = 64ull << 20;
   /// First LSN this log assigns (recovery's max replayed LSN + 1).
   uint64_t start_lsn = 1;
-  /// Optional instrumentation sink; may be null. Plain-atomic WalStats are
-  /// maintained regardless, so the serve report works under CBTREE_OBS=OFF.
+  /// Optional sink for the fsync, group-size and sync-wait timers; may be
+  /// null. The counts live in the plain-atomic WalStats either way, so the
+  /// serve report works under CBTREE_OBS=OFF.
   obs::Registry* registry = nullptr;
 };
 
 /// Functional commit accounting (not obs — these survive -DCBTREE_OBS=OFF
-/// and feed the serve final report's amortization numbers).
+/// and feed the serve final report's amortization numbers and the
+/// "srv.wal.*" counters).
 struct WalStats {
   std::atomic<uint64_t> appends{0};        ///< records appended
   std::atomic<uint64_t> groups{0};         ///< group flushes (write(2) calls)
@@ -177,7 +179,6 @@ class ShardLog {
   obs::Timer fsync_timer_;
   obs::Timer group_size_timer_;
   obs::Timer sync_wait_timer_;
-  obs::Counter append_counter_;
 };
 
 }  // namespace wal

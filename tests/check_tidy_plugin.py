@@ -9,15 +9,10 @@ For every fixture pair under tests/tidy_fixtures/ this driver:
      seeded violation or an extra diagnostic both fail;
   2. runs the check over the negative fixture and asserts zero diagnostics;
   3. finally runs all six checks over the real tree/epoch sources (and the
-     obs compile-out check over net/sim, the wal-append check over
+     obs compile-out check over ctree/net/sim/obs, the wal-append check over
      wal/ctree/net) and asserts they are clean.
 
-The analyzer under test is tools/cbtree_tidy/cbtree_tidy.py. When
---clang-tidy and --plugin point at a working clang-tidy and a built
-CbtreeTidyModule.so, the same fixture assertions run against the plugin as
-well, so both engines are pinned to the same semantics. Without them the
-plugin leg is skipped (the dev headers are optional); the python leg always
-gates.
+The analyzer under test is tools/cbtree_tidy/cbtree_tidy.py.
 """
 
 import argparse
@@ -68,37 +63,16 @@ def run_python_engine(python, script, check, files):
     return parse_diags(proc.stdout)
 
 
-def run_plugin_engine(clang_tidy, plugin, check, files, extra_args):
-    cmd = [clang_tidy, "-load", plugin, "-checks=-*,%s" % check] + files + \
-        ["--"] + extra_args
-    proc = subprocess.run(cmd, stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE, text=True)
-    return parse_diags(proc.stdout)
-
-
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--source-dir", required=True,
                         help="repository root")
-    parser.add_argument("--clang-tidy", default="",
-                        help="clang-tidy binary (optional plugin leg)")
-    parser.add_argument("--plugin", default="",
-                        help="built CbtreeTidyModule shared object")
     args = parser.parse_args()
 
     root = os.path.abspath(args.source_dir)
     script = os.path.join(root, "tools", "cbtree_tidy", "cbtree_tidy.py")
     fixture_dir = os.path.join(root, "tests", "tidy_fixtures")
     python = sys.executable
-
-    plugin_leg = bool(args.clang_tidy and args.plugin
-                      and os.path.exists(args.plugin))
-    engines = [("python", None)]
-    if plugin_leg:
-        engines.append(("plugin", (args.clang_tidy, args.plugin)))
-    else:
-        print("note: clang-tidy plugin leg skipped (no plugin built); "
-              "the python engine still gates")
 
     failures = []
 
@@ -111,31 +85,21 @@ def main():
                             "markers" % bad)
             continue
 
-        for engine, handle in engines:
-            if engine == "python":
-                got_bad = run_python_engine(python, script, check, [bad])
-                got_good = run_python_engine(python, script, check, [good])
-            else:
-                clang_tidy, plugin = handle
-                extra = ["-std=c++17", "-I%s" % os.path.join(root, "src")]
-                got_bad = run_plugin_engine(clang_tidy, plugin, check,
-                                            [bad], extra)
-                got_good = run_plugin_engine(clang_tidy, plugin, check,
-                                             [good], extra)
-
-            missed = expected - got_bad
-            extra_diags = got_bad - expected
-            for f, line, name in sorted(missed):
-                failures.append("[%s/%s] seeded violation NOT diagnosed: "
-                                "%s:%d [%s]" % (engine, check, f, line, name))
-            for f, line, name in sorted(extra_diags):
-                failures.append("[%s/%s] unexpected diagnostic: %s:%d [%s]"
-                                % (engine, check, f, line, name))
-            for f, line, name in sorted(got_good):
-                failures.append("[%s/%s] negative fixture diagnosed: "
-                                "%s:%d [%s]" % (engine, check, f, line, name))
-            print("fixtures %-28s %-6s: %d/%d seeded violations diagnosed"
-                  % (check, engine, len(expected - missed), len(expected)))
+        got_bad = run_python_engine(python, script, check, [bad])
+        got_good = run_python_engine(python, script, check, [good])
+        missed = expected - got_bad
+        extra_diags = got_bad - expected
+        for f, line, name in sorted(missed):
+            failures.append("[%s] seeded violation NOT diagnosed: %s:%d [%s]"
+                            % (check, f, line, name))
+        for f, line, name in sorted(extra_diags):
+            failures.append("[%s] unexpected diagnostic: %s:%d [%s]"
+                            % (check, f, line, name))
+        for f, line, name in sorted(got_good):
+            failures.append("[%s] negative fixture diagnosed: %s:%d [%s]"
+                            % (check, f, line, name))
+        print("fixtures %-28s: %d/%d seeded violations diagnosed"
+              % (check, len(expected - missed), len(expected)))
 
     # Real sources must be clean under every check.
     def glob_sources(*rel_dirs):

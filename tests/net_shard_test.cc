@@ -1,6 +1,6 @@
 // End-to-end tests for the sharded, multi-event-loop server: every protocol
 // crossed with shard/loop counts, concurrent clients, pipelined same-shard
-// batches, the accept round-robin fallback, and the loop-count-aware drain.
+// batches, and the loop-count-aware drain.
 //
 // The core oracle is exact: each client records every acked insert and
 // delete over its own disjoint key range, and after shutdown the test reads
@@ -239,46 +239,6 @@ TEST(NetShardBatchTest, PipelinedSameShardRequestsShareTreePasses) {
     EXPECT_EQ(stats.shards[s].executed, 0u) << "shard " << s;
     EXPECT_EQ(server.tree(s)->size(), 0u) << "shard " << s;
   }
-  server.CheckAllInvariants();
-}
-
-/// The round-robin accept fallback (no SO_REUSEPORT) must spread
-/// connections over all loops and serve them correctly.
-TEST(NetShardTest, AcceptRoundRobinFallbackServesAllLoops) {
-  ServerOptions options =
-      ShardedOptions(Algorithm::kOptimisticDescent, /*shards=*/2,
-                     /*loops=*/4);
-  options.force_accept_round_robin = true;
-  Server server(options);
-  std::string error;
-  ASSERT_TRUE(server.Start(&error)) << error;
-
-  constexpr int kClients = 8;
-  std::vector<Client> clients(kClients);
-  for (int c = 0; c < kClients; ++c) {
-    ASSERT_TRUE(clients[c].Connect("127.0.0.1", server.port(), &error))
-        << error;
-  }
-  for (int c = 0; c < kClients; ++c) {
-    Key key = static_cast<Key>(c + 1);
-    EXPECT_EQ(clients[c].Insert(key, key * 10), Status::kInserted);
-    EXPECT_EQ(clients[c].Search(key), key * 10);
-  }
-  for (Client& client : clients) client.Close();
-  server.Shutdown();
-
-  const ServerStats stats = server.stats();
-  EXPECT_FALSE(stats.reuseport);
-  EXPECT_EQ(stats.connections_accepted, static_cast<uint64_t>(kClients));
-  ASSERT_EQ(stats.loops.size(), 4u);
-  // 8 connections dealt round-robin over 4 loops: every loop serves two.
-  uint64_t loop_conns = 0;
-  for (const LoopServerStats& loop : stats.loops) {
-    EXPECT_EQ(loop.connections_accepted, 2u);
-    loop_conns += loop.connections_accepted;
-  }
-  EXPECT_EQ(loop_conns, stats.connections_accepted);
-  EXPECT_EQ(stats.completed, static_cast<uint64_t>(2 * kClients));
   server.CheckAllInvariants();
 }
 

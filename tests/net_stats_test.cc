@@ -9,11 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <map>
@@ -498,6 +502,77 @@ TEST(NetStatsTest, PrometheusListenerServesMergedSnapshot) {
   EXPECT_NE(body.find("# TYPE"), std::string::npos);
 
   client.Close();
+  server.Shutdown();
+}
+
+double ProcessCpuSeconds() {
+  rusage usage = {};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) +
+         static_cast<double>(usage.ru_utime.tv_usec + usage.ru_stime.tv_usec) *
+             1e-6;
+}
+
+// Runs as its own process under ctest (gtest_discover_tests), and restores
+// the fd limit before it returns, so the lowered limit touches no other
+// test.
+TEST(NetStatsTest, StatsListenerShedsConnectionsUnderFdExhaustion) {
+  ServerOptions options = LoopbackOptions(Algorithm::kLinkType);
+  options.stats_port = 0;
+  Server server(options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  ASSERT_GT(server.stats_port(), 0);
+
+  // The client socket exists before the fds run out; connect(2) then needs
+  // none, so the connection reaches the listener's queue.
+  const int victim = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(victim, 0);
+  timeval receive_timeout = {};
+  receive_timeout.tv_sec = 2;
+  setsockopt(victim, SOL_SOCKET, SO_RCVTIMEO, &receive_timeout,
+             sizeof(receive_timeout));
+
+  rlimit saved = {};
+  ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit lowered = saved;
+  lowered.rlim_cur = std::min<rlim_t>(saved.rlim_cur, 256);
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  std::vector<int> fillers;
+  for (;;) {
+    const int fd = open("/dev/null", O_RDONLY | O_CLOEXEC);
+    if (fd < 0) break;
+    fillers.push_back(fd);
+  }
+  ASSERT_EQ(errno, EMFILE);
+
+  sockaddr_in address = {};
+  address.sin_family = AF_INET;
+  address.sin_port = htons(static_cast<uint16_t>(server.stats_port()));
+  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(connect(victim, reinterpret_cast<sockaddr*>(&address),
+                    sizeof(address)),
+            0);
+  // The listener cannot keep the connection, so it must close it rather
+  // than leave it queued: the client sees EOF or a reset, not a timeout.
+  char byte;
+  const ssize_t got = recv(victim, &byte, 1, 0);
+  const int recv_errno = errno;
+  EXPECT_TRUE(got == 0 || (got < 0 && recv_errno == ECONNRESET))
+      << "recv returned " << got << " errno " << recv_errno;
+  // Nothing is queued any more, so poll(2) on the listen fd blocks instead
+  // of returning at once into another failed accept(2).
+  const double cpu_before = ProcessCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_LT(ProcessCpuSeconds() - cpu_before, 0.1);
+
+  for (int fd : fillers) close(fd);
+  close(victim);
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+  // With fds free again the listener serves scrapes as before.
+  EXPECT_NE(HttpGet(server.stats_port()).find("HTTP/1.0 200"),
+            std::string::npos);
   server.Shutdown();
 }
 #else   // !CBTREE_OBS_ENABLED

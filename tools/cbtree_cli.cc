@@ -154,8 +154,8 @@ struct CommonOptions {
     flags->Register("trace_format", &trace_format,
                     "trace file format: jsonl | chrome");
     flags->Register("protocol", &protocol,
-                    "serve/drive tree protocol: naive | optimistic | link | "
-                    "blink | two-phase | olc (alias of --algorithm)");
+                    "tree protocol: naive | optimistic | link | blink | "
+                    "two-phase | olc (alias of --algorithm; wins over it)");
     flags->Register("host", &host, "serve/drive address");
     flags->Register("port", &port, "serve/drive TCP port (0 = ephemeral)");
     flags->Register("workers", &workers,
@@ -165,8 +165,8 @@ struct CommonOptions {
                     "hash-partitioned across; drive: shard count of the "
                     "server for occupancy accounting");
     flags->Register("loops", &loops,
-                    "serve event-loop threads (SO_REUSEPORT per loop, or "
-                    "accept round-robin fallback)");
+                    "serve event-loop threads (each with its own "
+                    "SO_REUSEPORT listen socket)");
     flags->Register("batch", &batch,
                     "serve: max adjacent same-shard requests batched into "
                     "one tree pass");
@@ -207,8 +207,8 @@ struct CommonOptions {
                     "serve WAL segment rotation size in bytes");
   }
 
-  /// Algorithm for serve/drive: --protocol wins (accepting "blink" for the
-  /// B-link tree), otherwise --algorithm.
+  /// The tree protocol of every subcommand: --protocol wins (accepting
+  /// "blink" for the B-link tree), otherwise --algorithm.
   Algorithm ParseProtocol() const {
     std::string name = protocol.empty() ? algorithm : protocol;
     if (name == "blink" || name == "link") return Algorithm::kLinkType;
@@ -216,19 +216,9 @@ struct CommonOptions {
     if (name == "optimistic") return Algorithm::kOptimisticDescent;
     if (name == "two-phase") return Algorithm::kTwoPhaseLocking;
     if (name == "olc") return Algorithm::kOlc;
-    std::cerr << "unknown --protocol '" << name
+    std::cerr << "unknown " << (protocol.empty() ? "--algorithm" : "--protocol")
+              << " '" << name
               << "' (naive | optimistic | link | blink | two-phase | olc)\n";
-    std::exit(1);
-  }
-
-  Algorithm ParseAlgorithm() const {
-    if (algorithm == "naive") return Algorithm::kNaiveLockCoupling;
-    if (algorithm == "optimistic") return Algorithm::kOptimisticDescent;
-    if (algorithm == "link") return Algorithm::kLinkType;
-    if (algorithm == "two-phase") return Algorithm::kTwoPhaseLocking;
-    if (algorithm == "olc") return Algorithm::kOlc;
-    std::cerr << "unknown --algorithm '" << algorithm
-              << "' (naive | optimistic | link | two-phase | olc)\n";
     std::exit(1);
   }
 
@@ -265,7 +255,7 @@ struct CommonOptions {
 
 int CmdAnalyze(const CommonOptions& options) {
   ModelParams params = options.Params();
-  auto analyzer = MakeAnalyzer(options.ParseAlgorithm(), params);
+  auto analyzer = MakeAnalyzer(options.ParseProtocol(), params);
   AnalysisResult result = analyzer->Analyze(options.lambda);
   std::printf("%s, lambda=%g, N=%d, %lu items (height %d), D=%g\n\n",
               analyzer->name().c_str(), options.lambda, options.node_size,
@@ -300,7 +290,7 @@ int CmdAnalyze(const CommonOptions& options) {
 }
 
 int CmdSweep(const CommonOptions& options) {
-  auto analyzer = MakeAnalyzer(options.ParseAlgorithm(), options.Params());
+  auto analyzer = MakeAnalyzer(options.ParseProtocol(), options.Params());
   double max_rate = analyzer->MaxThroughput(1e6);
   double cap = std::isfinite(max_rate) ? max_rate : 1e3;
   std::vector<double> lambdas;
@@ -379,7 +369,7 @@ int CmdCompare(const CommonOptions& options) {
 }
 
 int CmdCapacity(const CommonOptions& options) {
-  auto analyzer = MakeAnalyzer(options.ParseAlgorithm(), options.Params());
+  auto analyzer = MakeAnalyzer(options.ParseProtocol(), options.Params());
   double max_rate = analyzer->MaxThroughput(1e6);
   auto at_rho = analyzer->ArrivalRateForRootUtilization(options.rho);
   std::printf("%s:\n  max throughput:            %g\n",
@@ -416,7 +406,7 @@ int CmdSimulate(const CommonOptions& options) {
   configs.reserve(options.seeds);
   for (int s = 0; s < options.seeds; ++s) {
     SimConfig config;
-    config.algorithm = options.ParseAlgorithm();
+    config.algorithm = options.ParseProtocol();
     config.lambda = options.lambda;
     config.mix = options.Mix();
     config.num_operations = options.ops;
@@ -459,7 +449,7 @@ int CmdSimulate(const CommonOptions& options) {
       seeds.push_back(runner::ReduceSeed(result));
     }
     runner::SimRunInfo info;
-    info.algorithm = AlgorithmName(options.ParseAlgorithm());
+    info.algorithm = AlgorithmName(options.ParseProtocol());
     info.lambda = options.lambda;
     info.jobs = runner::EffectiveJobs(options.jobs);
     info.wall_seconds = wall_seconds;
@@ -495,7 +485,7 @@ int CmdSimulate(const CommonOptions& options) {
       "  percentiles (all ops): p50 %.2f  p95 %.2f  p99 %.2f\n"
       "  root writer utilization: %.4f\n"
       "  restarts/op: %.5f   link crossings/op: %.5f\n",
-      AlgorithmName(options.ParseAlgorithm()).c_str(), options.lambda,
+      AlgorithmName(options.ParseProtocol()).c_str(), options.lambda,
       search.count(), static_cast<unsigned long>(options.ops), search.mean(),
       insert.mean(), del.mean(), p50.mean(), p95.mean(), p99.mean(),
       rho.mean(), restarts / static_cast<double>(completed),
@@ -544,7 +534,15 @@ void AppendLatchLevelsJson(std::string* out, const CTreeStats& stats) {
 
 /// Per-level latch-contention table, shared by `stress` and `serve` final
 /// reports (root at the top, like the model's level tables).
-void PrintLatchTable(const CTreeStats& stats, bool csv) {
+void PrintLatchTable(Algorithm algorithm, const CTreeStats& stats, bool csv) {
+  if (algorithm == Algorithm::kOlc) {
+    // OLC takes no node latches: it validates node versions and restarts
+    // on a conflict instead.
+    std::printf("  (no node latches: olc validates node versions instead; "
+                "%" PRIu64 " restarts)\n",
+                stats.restarts);
+    return;
+  }
   if (stats.latch_levels.empty()) {
     std::printf("  (latch telemetry disabled: built with CBTREE_OBS=OFF)\n");
     return;
@@ -609,7 +607,7 @@ int CmdStress(const CommonOptions& options) {
               << "' (table | json)\n";
     return 1;
   }
-  auto tree = MakeConcurrentBTree(options.ParseAlgorithm(),
+  auto tree = MakeConcurrentBTree(options.ParseProtocol(),
                                   options.node_size);
   const uint64_t key_space = 2 * std::max<uint64_t>(options.items, 1);
   {
@@ -699,7 +697,7 @@ int CmdStress(const CommonOptions& options) {
       tree->size(), interrupted ? "  [interrupted: drained early]" : "",
       stats.splits, stats.root_splits, stats.restarts,
       stats.link_crossings);
-  PrintLatchTable(stats, options.csv);
+  PrintLatchTable(options.ParseProtocol(), stats, options.csv);
   return 0;
 }
 
@@ -786,7 +784,7 @@ int CmdServe(const CommonOptions& options) {
     total_keys += shard.tree_size;
   }
   std::printf(
-      "\ncbtree serve drained (%d shards, %d loops, %s accept):\n"
+      "\ncbtree serve drained (%d shards, %d loops):\n"
       "  connections %" PRIu64 " accepted, %" PRIu64 " closed\n"
       "  requests    %" PRIu64 " received: %" PRIu64 " completed, %" PRIu64
       " rejected, %" PRIu64 " shutdown-rejected\n"
@@ -798,7 +796,6 @@ int CmdServe(const CommonOptions& options) {
       "  build       %s\n"
       "  final keys  %zu across all shards\n",
       server.num_shards(), server.num_loops(),
-      stats.reuseport ? "reuseport" : "round-robin",
       stats.connections_accepted, stats.connections_closed,
       stats.requests_received, stats.completed, stats.rejected,
       stats.shutdown_rejected, stats.bad_frames, stats.slow_consumer_drops,
@@ -849,7 +846,8 @@ int CmdServe(const CommonOptions& options) {
   // Latch telemetry per shard (each shard is its own tree).
   for (int s = 0; s < server.num_shards(); ++s) {
     if (server.num_shards() > 1) std::printf("shard %d latches:\n", s);
-    PrintLatchTable(server.tree(s)->stats(), options.csv);
+    PrintLatchTable(server_options.algorithm, server.tree(s)->stats(),
+                    options.csv);
   }
   // Accounting invariant: every well-formed frame got exactly one answer.
   // The per-loop and per-shard breakdowns must also sum back to the

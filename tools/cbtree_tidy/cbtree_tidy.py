@@ -1,12 +1,9 @@
 #!/usr/bin/env python3
 """cbtree-tidy: project-specific static checks for the concurrent B-trees.
 
-Implements the six cbtree-* checks as a dependency-free lexical analyzer
-with the same names, semantics, and fixture behavior as the clang-tidy
-plugin in this directory (CbtreeTidyModule.cpp). The plugin needs clang-tidy
-development headers, which most toolchain images do not ship; this script is
-the always-available engine that run_clang_tidy.sh and the tidy_plugin_test
-ctest drive, and the plugin is loaded on top when the host has the headers.
+Implements the six cbtree-* checks as a dependency-free lexical analyzer.
+It is the project's one engine for them: run_clang_tidy.sh and the
+tidy_plugin_test ctest both drive it, and it needs nothing beyond python3.
 
 Checks (see docs/STATIC_ANALYSIS.md, "Project-specific checks"):
 
@@ -792,7 +789,6 @@ def main(argv):
     emitted = 0
     diags.sort(key=lambda d: (d.path, d.line, d.col, d.check))
     for d in diags:
-        srcs = [s for s in (d,)]  # keep flake-style simple
         with open(d.path, "r", encoding="utf-8", errors="replace") as f:
             file_lines = f.read().splitlines()
         probe = SourceFile.__new__(SourceFile)

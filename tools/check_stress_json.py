@@ -43,7 +43,8 @@ def main():
 
     levels = report["latch_levels"]
     if not levels:
-        fail("latch_levels is empty (built with CBTREE_OBS=OFF?)")
+        fail("latch_levels is empty (built with CBTREE_OBS=OFF? olc, which "
+             "takes no node latches, reports none either)")
     seen = []
     for level in levels:
         seen.append(level["level"])
