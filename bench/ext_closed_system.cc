@@ -14,20 +14,17 @@ using namespace cbtree::bench;
 
 int main(int argc, char** argv) {
   FigureOptions options;
-  std::string algorithm_name = "naive";
+  std::string protocol = "naive";
   FlagSet flags;
   options.Register(&flags);
-  flags.Register("algorithm", &algorithm_name,
-                 "naive | optimistic | link | two-phase");
+  flags.Register("protocol", &protocol, AlgorithmFlagNames());
   flags.Parse(argc, argv);
 
-  Algorithm algorithm = Algorithm::kNaiveLockCoupling;
-  if (algorithm_name == "optimistic") {
-    algorithm = Algorithm::kOptimisticDescent;
-  } else if (algorithm_name == "link") {
-    algorithm = Algorithm::kLinkType;
-  } else if (algorithm_name == "two-phase") {
-    algorithm = Algorithm::kTwoPhaseLocking;
+  Algorithm algorithm;
+  if (!ParseAlgorithm(protocol, &algorithm)) {
+    std::cerr << "unknown --protocol '" << protocol << "' ("
+              << AlgorithmFlagNames() << ")\n";
+    return 1;
   }
 
   auto analyzer = MakeAnalyzer(algorithm, MakeModelParams(options));

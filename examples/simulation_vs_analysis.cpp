@@ -3,7 +3,8 @@
 // runnable interactively.
 //
 // Build & run:  ./build/examples/simulation_vs_analysis
-//                   [--algorithm=naive|optimistic|link] [--lambda=0.3] ...
+//                   [--protocol=naive|optimistic|link|two-phase|olc]
+//                   [--lambda=0.3] ...
 
 #include <cstdio>
 #include <string>
@@ -15,15 +16,14 @@
 using namespace cbtree;
 
 int main(int argc, char** argv) {
-  std::string algorithm_name = "optimistic";
+  std::string protocol = "optimistic";
   double lambda = 0.5;
   uint64_t items = 40000;
   int node_size = 13;
   double disk_cost = 5.0;
   int seeds = 5;
   FlagSet flags;
-  flags.Register("algorithm", &algorithm_name,
-                 "naive | optimistic | link");
+  flags.Register("protocol", &protocol, AlgorithmFlagNames());
   flags.Register("lambda", &lambda, "arrival rate");
   flags.Register("items", &items, "tree size");
   flags.Register("node_size", &node_size, "max entries per node");
@@ -31,9 +31,12 @@ int main(int argc, char** argv) {
   flags.Register("seeds", &seeds, "simulation seeds");
   flags.Parse(argc, argv);
 
-  Algorithm algorithm = Algorithm::kOptimisticDescent;
-  if (algorithm_name == "naive") algorithm = Algorithm::kNaiveLockCoupling;
-  if (algorithm_name == "link") algorithm = Algorithm::kLinkType;
+  Algorithm algorithm;
+  if (!ParseAlgorithm(protocol, &algorithm)) {
+    std::fprintf(stderr, "unknown --protocol '%s' (%s)\n", protocol.c_str(),
+                 AlgorithmFlagNames().c_str());
+    return 1;
+  }
 
   OperationMix mix{0.3, 0.5, 0.2};
   ModelParams params =

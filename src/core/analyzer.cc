@@ -1,6 +1,7 @@
 #include "core/analyzer.h"
 
 #include <cmath>
+#include <iterator>
 
 #include "core/linktype_model.h"
 #include "core/naive_model.h"
@@ -12,20 +13,73 @@
 
 namespace cbtree {
 
+namespace {
+
+/// One row of the protocol name table. Every flag, report and test label
+/// that names a protocol reads it from this table.
+struct AlgorithmNames {
+  Algorithm algorithm;
+  std::string_view flag;     ///< the --protocol value
+  std::string_view alias;    ///< another accepted --protocol value, or ""
+  std::string_view display;  ///< what AlgorithmName returns
+};
+
+constexpr AlgorithmNames kAlgorithmTable[] = {
+    {Algorithm::kNaiveLockCoupling, "naive", "", "naive-lock-coupling"},
+    {Algorithm::kOptimisticDescent, "optimistic", "", "optimistic-descent"},
+    {Algorithm::kLinkType, "link", "blink", "link-type"},
+    {Algorithm::kTwoPhaseLocking, "two-phase", "", "two-phase-locking"},
+    {Algorithm::kOlc, "olc", "", "olc"},
+};
+
+static_assert(
+    [] {
+      for (size_t i = 0; i < std::size(kAlgorithmTable); ++i) {
+        if (static_cast<size_t>(kAlgorithmTable[i].algorithm) != i) {
+          return false;
+        }
+      }
+      return true;
+    }(),
+    "kAlgorithmTable rows must follow the enum order");
+
+const AlgorithmNames& Row(Algorithm algorithm) {
+  const auto index = static_cast<size_t>(algorithm);
+  CBTREE_CHECK_LT(index, std::size(kAlgorithmTable));
+  return kAlgorithmTable[index];
+}
+
+}  // namespace
+
 std::string AlgorithmName(Algorithm algorithm) {
-  switch (algorithm) {
-    case Algorithm::kNaiveLockCoupling:
-      return "naive-lock-coupling";
-    case Algorithm::kOptimisticDescent:
-      return "optimistic-descent";
-    case Algorithm::kLinkType:
-      return "link-type";
-    case Algorithm::kTwoPhaseLocking:
-      return "two-phase-locking";
-    case Algorithm::kOlc:
-      return "olc";
+  return std::string(Row(algorithm).display);
+}
+
+std::string AlgorithmFlag(Algorithm algorithm) {
+  return std::string(Row(algorithm).flag);
+}
+
+bool ParseAlgorithm(std::string_view name, Algorithm* algorithm) {
+  if (name.empty()) return false;
+  for (const AlgorithmNames& row : kAlgorithmTable) {
+    if (name == row.flag || name == row.alias) {
+      *algorithm = row.algorithm;
+      return true;
+    }
   }
-  return "unknown";
+  return false;
+}
+
+std::string AlgorithmFlagNames() {
+  std::string names;
+  for (const AlgorithmNames& row : kAlgorithmTable) {
+    for (std::string_view name : {row.flag, row.alias}) {
+      if (name.empty()) continue;
+      if (!names.empty()) names += " | ";
+      names += name;
+    }
+  }
+  return names;
 }
 
 Analyzer::Analyzer(ModelParams params) : params_(std::move(params)) {

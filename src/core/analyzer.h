@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/analysis_result.h"
 #include "core/params.h"
@@ -21,7 +22,21 @@ enum class Algorithm {
   kOlc,
 };
 
+// The protocol names, from the one name table in analyzer.cc.
+
+/// The display name: "naive-lock-coupling", ..., "two-phase-locking", "olc".
 std::string AlgorithmName(Algorithm algorithm);
+
+/// The --protocol name, e.g. naive, link or two-phase.
+std::string AlgorithmFlag(Algorithm algorithm);
+
+/// Resolves a --protocol value (a flag name or an alias). Returns false,
+/// leaving *algorithm untouched, for an unknown or empty name.
+bool ParseAlgorithm(std::string_view name, Algorithm* algorithm);
+
+/// Every accepted --protocol value, "naive | optimistic | link | blink |
+/// ...", for help text and errors.
+std::string AlgorithmFlagNames();
 
 /// Base of the three analytical models. Thread-compatible; Analyze is const
 /// and reentrant.

@@ -19,7 +19,9 @@ class LinkTypeModel : public Analyzer {
  public:
   explicit LinkTypeModel(ModelParams params) : Analyzer(std::move(params)) {}
 
-  std::string name() const override { return "link-type"; }
+  std::string name() const override {
+    return AlgorithmName(Algorithm::kLinkType);
+  }
   AnalysisResult Analyze(double lambda) const override;
 };
 

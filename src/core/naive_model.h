@@ -17,7 +17,9 @@ class NaiveLockCouplingModel : public Analyzer {
   explicit NaiveLockCouplingModel(ModelParams params)
       : Analyzer(std::move(params)) {}
 
-  std::string name() const override { return "naive-lock-coupling"; }
+  std::string name() const override {
+    return AlgorithmName(Algorithm::kNaiveLockCoupling);
+  }
   AnalysisResult Analyze(double lambda) const override;
 };
 

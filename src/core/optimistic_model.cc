@@ -22,7 +22,7 @@ std::string RecoveryPolicyName(RecoveryPolicy policy) {
 }
 
 std::string OptimisticDescentModel::name() const {
-  std::string base = "optimistic-descent";
+  std::string base = AlgorithmName(Algorithm::kOptimisticDescent);
   if (recovery_.policy != RecoveryPolicy::kNone) {
     base += "+" + RecoveryPolicyName(recovery_.policy);
   }

@@ -21,7 +21,9 @@ class TwoPhaseLockingModel : public Analyzer {
   explicit TwoPhaseLockingModel(ModelParams params)
       : Analyzer(std::move(params)) {}
 
-  std::string name() const override { return "two-phase-locking"; }
+  std::string name() const override {
+    return AlgorithmName(Algorithm::kTwoPhaseLocking);
+  }
   AnalysisResult Analyze(double lambda) const override;
 };
 

@@ -1240,11 +1240,12 @@ void Server::FlushBatch(const std::shared_ptr<Conn>& conn, Batch* batch) {
   shard.in_flight.fetch_add(batch->requests.size(),
                             std::memory_order_relaxed);
   const uint64_t enqueue_ns = ElapsedNs(start_time_);
-  // The future is intentionally dropped; completion is observed through
-  // in_flight_ and the write buffers.
-  shard.pool->Submit([this, conn, shard_index,
-                      requests = std::move(batch->requests),
-                      enqueue_ns]() mutable {
+  // Completion is observed through in_flight_ and the write buffers. An
+  // exception escaping the batch ends the process (fail-stop, like a failed
+  // log flush) rather than leaving its requests unanswered.
+  shard.pool->Post([this, conn, shard_index,
+                    requests = std::move(batch->requests),
+                    enqueue_ns]() mutable {
     ExecuteBatch(std::move(conn), shard_index, std::move(requests),
                  enqueue_ns);
   });

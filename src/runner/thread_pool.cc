@@ -32,7 +32,7 @@ int ThreadPool::DefaultJobs() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-void ThreadPool::Enqueue(std::function<void()> task) {
+void ThreadPool::Post(std::function<void()> task) {
   {
     MutexLock lock(&mu_);
     CBTREE_CHECK(!shutdown_);

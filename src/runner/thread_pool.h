@@ -2,10 +2,11 @@
 //
 // Dispatch is FIFO: workers begin tasks in submission order (with one
 // worker, execution order equals submission order exactly). Results and
-// exceptions travel through the std::future returned by Submit. The
-// destructor drains the queue — every task submitted before destruction
-// runs to completion — and then joins the workers, so futures obtained
-// from a pool are always eventually ready.
+// exceptions travel through the std::future returned by Submit; a task
+// given to Post has no future, and an exception escaping it ends the
+// process. The destructor drains the queue — every task submitted before
+// destruction runs to completion — and then joins the workers, so futures
+// obtained from a pool are always eventually ready.
 
 #ifndef CBTREE_RUNNER_THREAD_POOL_H_
 #define CBTREE_RUNNER_THREAD_POOL_H_
@@ -48,16 +49,20 @@ class ThreadPool {
     auto task =
         std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
     std::future<R> result = task->get_future();
-    Enqueue([task] { (*task)(); });
+    Post([task] { (*task)(); });
     return result;
   }
+
+  /// Enqueues `task` with no future. An exception that escapes it is not
+  /// caught: it ends the process (fail-stop). Must not be called after the
+  /// destructor has started.
+  void Post(std::function<void()> task);
 
   /// Worker count used when the caller does not pin one:
   /// std::thread::hardware_concurrency, at least 1.
   static int DefaultJobs();
 
  private:
-  void Enqueue(std::function<void()> task);
   void WorkerLoop();
 
   mutable Mutex mu_;

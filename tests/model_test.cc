@@ -233,6 +233,41 @@ TEST(AnalyzerFactoryTest, MakesAllThree) {
   }
 }
 
+TEST(AnalyzerFactoryTest, ProtocolNameTableRoundTrips) {
+  const Algorithm all[] = {Algorithm::kNaiveLockCoupling,
+                           Algorithm::kOptimisticDescent, Algorithm::kLinkType,
+                           Algorithm::kTwoPhaseLocking, Algorithm::kOlc};
+  for (Algorithm algorithm : all) {
+    Algorithm parsed = algorithm == Algorithm::kOlc
+                           ? Algorithm::kNaiveLockCoupling
+                           : Algorithm::kOlc;
+    ASSERT_TRUE(ParseAlgorithm(AlgorithmFlag(algorithm), &parsed))
+        << AlgorithmFlag(algorithm);
+    EXPECT_EQ(parsed, algorithm);
+  }
+  Algorithm parsed = Algorithm::kNaiveLockCoupling;
+  ASSERT_TRUE(ParseAlgorithm("blink", &parsed));
+  EXPECT_EQ(parsed, Algorithm::kLinkType);
+
+  // Unknown and empty names are rejected and leave the output untouched.
+  for (const char* bad : {"", "bogus", "two_phase", "Naive", "link-type"}) {
+    parsed = Algorithm::kOlc;
+    EXPECT_FALSE(ParseAlgorithm(bad, &parsed)) << bad;
+    EXPECT_EQ(parsed, Algorithm::kOlc) << bad;
+  }
+
+  // The display names are part of every report and JSON document.
+  EXPECT_EQ(AlgorithmName(Algorithm::kNaiveLockCoupling),
+            "naive-lock-coupling");
+  EXPECT_EQ(AlgorithmName(Algorithm::kOptimisticDescent),
+            "optimistic-descent");
+  EXPECT_EQ(AlgorithmName(Algorithm::kLinkType), "link-type");
+  EXPECT_EQ(AlgorithmName(Algorithm::kTwoPhaseLocking), "two-phase-locking");
+  EXPECT_EQ(AlgorithmName(Algorithm::kOlc), "olc");
+  EXPECT_EQ(AlgorithmFlagNames(),
+            "naive | optimistic | link | blink | two-phase | olc");
+}
+
 TEST(AnalyzerTest, MeanResponseIsMixWeighted) {
   NaiveLockCouplingModel model(Paper());
   AnalysisResult r = model.Analyze(0.05);

@@ -13,8 +13,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -76,19 +78,9 @@ INSTANTIATE_TEST_SUITE_P(
                       Algorithm::kOptimisticDescent, Algorithm::kLinkType,
                       Algorithm::kTwoPhaseLocking, Algorithm::kOlc),
     [](const ::testing::TestParamInfo<Algorithm>& info) {
-      switch (info.param) {
-        case Algorithm::kNaiveLockCoupling:
-          return std::string("naive");
-        case Algorithm::kOptimisticDescent:
-          return std::string("optimistic");
-        case Algorithm::kLinkType:
-          return std::string("link");
-        case Algorithm::kTwoPhaseLocking:
-          return std::string("two_phase");
-        case Algorithm::kOlc:
-          return std::string("olc");
-      }
-      return std::string("unknown");
+      std::string name = AlgorithmFlag(info.param);
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
     });
 
 TEST(NetServerTest, PreloadMatchesTheStressKeySpace) {
@@ -491,6 +483,38 @@ TEST(NetServerTest, DriverSeesBackpressureAsRejectionsNotLosses) {
   EXPECT_GT(report.rejected, 0u);  // saturation really happened
   EXPECT_GT(report.completed, 0u);
   server.Shutdown();
+}
+
+// A batch that throws ends the process (fail-stop, like a failed log flush)
+// instead of leaving its requests unanswered. Without that, the child below
+// times out waiting for its answer and returns, and the death test reports
+// "failed to die".
+TEST(NetServerDeathTest, ThrowingBatchEndsTheProcess) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ServerOptions options = LoopbackOptions(Algorithm::kLinkType);
+        options.drain_timeout_ms = 100;
+        options.worker_delay_hook = [](const Request&) {
+          throw std::runtime_error("batch failed");
+        };
+        Server server(options);
+        std::string error;
+        if (server.Start(&error)) {
+          Client client;
+          if (client.Connect("127.0.0.1", server.port(), &error)) {
+            Request request;
+            request.op = OpCode::kSearch;
+            request.id = 1;
+            request.key = 1;
+            Response response;
+            if (client.Send(request)) client.ReceivePoll(&response, 2000);
+            client.Close();
+          }
+          server.Shutdown();
+        }
+      },
+      "batch failed");
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <optional>
@@ -42,19 +43,9 @@ ServerOptions ShardedOptions(Algorithm algorithm, int shards, int loops) {
 }
 
 std::string AlgorithmLabel(Algorithm algorithm) {
-  switch (algorithm) {
-    case Algorithm::kNaiveLockCoupling:
-      return "naive";
-    case Algorithm::kOptimisticDescent:
-      return "optimistic";
-    case Algorithm::kLinkType:
-      return "link";
-    case Algorithm::kTwoPhaseLocking:
-      return "two_phase";
-    case Algorithm::kOlc:
-      return "olc";
-  }
-  return "unknown";
+  std::string label = AlgorithmFlag(algorithm);
+  std::replace(label.begin(), label.end(), '-', '_');
+  return label;
 }
 
 // (protocol, shards, loops)

@@ -1,13 +1,13 @@
 // cbtree — command-line front end to the analytical framework and the
 // simulator.
 //
-//   cbtree analyze   --algorithm=link --lambda=0.3 [tree flags]
-//   cbtree sweep     --algorithm=naive [--points=10]
+//   cbtree analyze   --protocol=link --lambda=0.3 [tree flags]
+//   cbtree sweep     --protocol=naive [--points=10]
 //   cbtree compare   --lambda=0.3
-//   cbtree capacity  --algorithm=optimistic [--rho=0.5]
+//   cbtree capacity  --protocol=optimistic [--rho=0.5]
 //   cbtree rules     [tree flags]
-//   cbtree simulate  --algorithm=link --lambda=0.3 [--seeds=5 --ops=10000]
-//   cbtree stress    --algorithm=link --threads=8 [--stress_ops=100000]
+//   cbtree simulate  --protocol=link --lambda=0.3 [--seeds=5 --ops=10000]
+//   cbtree stress    --protocol=link --threads=8 [--stress_ops=100000]
 //   cbtree serve     --protocol=blink --port=7070 [--workers=4 --queue=1024]
 //   cbtree drive     --port=7070 --lambda=2000 --duration=5s [--connections=4]
 //   cbtree stat      --port=7070 [--json]
@@ -66,7 +66,7 @@ namespace cbtree {
 namespace {
 
 struct CommonOptions {
-  std::string algorithm = "optimistic";
+  std::string protocol = "optimistic";
   double lambda = 0.3;
   uint64_t items = 40000;
   int node_size = 13;
@@ -94,7 +94,6 @@ struct CommonOptions {
   std::string trace;
   std::string trace_format = "jsonl";
   // serve/drive
-  std::string protocol;  // alias of --algorithm, adds "blink"
   std::string host = "127.0.0.1";
   int port = 7070;
   int workers = 4;
@@ -118,8 +117,8 @@ struct CommonOptions {
   uint64_t wal_segment_bytes = 64ull << 20;
 
   void Register(FlagSet* flags) {
-    flags->Register("algorithm", &algorithm,
-                    "naive | optimistic | link | two-phase | olc");
+    flags->Register("protocol", &protocol,
+                    "tree protocol: " + AlgorithmFlagNames());
     flags->Register("lambda", &lambda, "arrival rate");
     flags->Register("items", &items, "tree size (keys)");
     flags->Register("node_size", &node_size, "max entries per node (N)");
@@ -153,9 +152,6 @@ struct CommonOptions {
                     "write the first seed's event trace to this file");
     flags->Register("trace_format", &trace_format,
                     "trace file format: jsonl | chrome");
-    flags->Register("protocol", &protocol,
-                    "tree protocol: naive | optimistic | link | blink | "
-                    "two-phase | olc (alias of --algorithm; wins over it)");
     flags->Register("host", &host, "serve/drive address");
     flags->Register("port", &port, "serve/drive TCP port (0 = ephemeral)");
     flags->Register("workers", &workers,
@@ -207,19 +203,15 @@ struct CommonOptions {
                     "serve WAL segment rotation size in bytes");
   }
 
-  /// The tree protocol of every subcommand: --protocol wins (accepting
-  /// "blink" for the B-link tree), otherwise --algorithm.
+  /// The tree protocol of every subcommand.
   Algorithm ParseProtocol() const {
-    std::string name = protocol.empty() ? algorithm : protocol;
-    if (name == "blink" || name == "link") return Algorithm::kLinkType;
-    if (name == "naive") return Algorithm::kNaiveLockCoupling;
-    if (name == "optimistic") return Algorithm::kOptimisticDescent;
-    if (name == "two-phase") return Algorithm::kTwoPhaseLocking;
-    if (name == "olc") return Algorithm::kOlc;
-    std::cerr << "unknown " << (protocol.empty() ? "--algorithm" : "--protocol")
-              << " '" << name
-              << "' (naive | optimistic | link | blink | two-phase | olc)\n";
-    std::exit(1);
+    Algorithm algorithm;
+    if (!ParseAlgorithm(protocol, &algorithm)) {
+      std::cerr << "unknown --protocol '" << protocol << "' ("
+                << AlgorithmFlagNames() << ")\n";
+      std::exit(1);
+    }
+    return algorithm;
   }
 
   OperationMix Mix() const { return OperationMix{q_s, q_i, q_d}; }
@@ -803,8 +795,8 @@ int CmdServe(const CommonOptions& options) {
       stats.stats_requests, stats.write_buffer_hwm,
       BuildProvenanceLine().c_str(), total_keys);
   if (stats.wal.enabled) {
-    // The amortization evidence: fsyncs ≪ appends means group commit is
-    // batching durability barriers, not paying one per write.
+    // appends/fsyncs is the group-commit amortization. The count includes
+    // the logged preload, which groups well; serving writes alone barely do.
     std::printf("  wal         %" PRIu64 " appends in %" PRIu64
                 " groups (%" PRIu64 " fsyncs, max group %" PRIu64
                 "), %" PRIu64 " bytes, %" PRIu64 " segments\n",

@@ -2,6 +2,7 @@
 """End-to-end loopback smoke test: `cbtree serve` + `cbtree drive`.
 
 Usage: check_serve_drive.py <cbtree-binary> [--protocol=...] [--lambda=...]
+           [--shards=N] [--loops=N] [--qs=..] [--qi=..] [--qd=..] [--wal]
 
 Starts a server on an ephemeral port, waits for its "listening on" line,
 runs the open-loop driver against it with --json, then SIGINTs the server
@@ -12,6 +13,16 @@ and checks both sides:
     requests: sent == completed + rejected, errors == unanswered == 0;
   * serve drains gracefully on SIGINT: exits 0 and its final report agrees
     with the driver on the number of completed requests.
+
+--wal serves write-ahead logged (a temporary --wal_dir, --fsync=data,
+--group_commit_us=200, --recovery=none) and adds the group-commit gate on
+the serve report's wal line: with at least 1000 appends, appends/fsyncs must
+be at least 2. The logged 5000-item preload dominates that count, so the
+gate guards the preload's grouping, not the serving writes': the
+canonical olc campaign (2 shards, 2 loops, lambda=1200, 2 s) logs about
+6400 appends in 1300 fsyncs (4.8x), and the same campaign with --items=0
+about 1500 appends in 1450 fsyncs (1.03x). Amortizing serving writes is
+ROADMAP item 2.
 """
 
 import json
@@ -19,12 +30,33 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import time
+
+WAL_REPORT_RE = re.compile(
+    r"wal\s+(\d+) appends in (\d+) groups \((\d+) fsyncs")
 
 
 def fail(message):
     print(f"FAIL: {message}", file=sys.stderr)
     sys.exit(1)
+
+
+def check_group_commit(serve_report):
+    """The group-commit gate (see the module docstring): at least 2 appends
+    per fsync once 1000 appends were logged. The preload's appends dominate
+    the count."""
+    match = WAL_REPORT_RE.search(serve_report)
+    if not match:
+        fail(f"--wal run but serve printed no wal line:\n{serve_report}")
+    appends, groups, fsyncs = (int(value) for value in match.groups())
+    amortization = appends / max(fsyncs, 1)
+    if appends >= 1000 and amortization < 2.0:
+        fail(f"group commit not amortizing: {appends} appends took {fsyncs} "
+             f"fsyncs ({amortization:.2f}x < 2x); the logged preload's "
+             f"appends are counted and normally dominate")
+    print(f"OK: wal {appends} appends in {groups} groups, {fsyncs} fsyncs "
+          f"({amortization:.1f}x; preload included)")
 
 
 def main():
@@ -37,6 +69,7 @@ def main():
     shards = "1"
     loops = "1"
     mix = []  # extra --qs/--qi/--qd flags forwarded to drive
+    wal = "--wal" in extra
     for flag in extra:
         if flag.startswith("--protocol="):
             protocol = flag.split("=", 1)[1]
@@ -49,11 +82,16 @@ def main():
         if flag.startswith(("--qs=", "--qi=", "--qd=")):
             mix.append(flag)
 
-    serve = subprocess.Popen(
-        [binary, "serve", f"--protocol={protocol}", "--port=0",
-         "--items=5000", "--workers=4", f"--shards={shards}",
-         f"--loops={loops}"],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    serve_args = [binary, "serve", f"--protocol={protocol}", "--port=0",
+                  "--items=5000", "--workers=4", f"--shards={shards}",
+                  f"--loops={loops}"]
+    wal_dir = None
+    if wal:
+        wal_dir = tempfile.TemporaryDirectory(prefix="cbtree_serve_drive_")
+        serve_args += [f"--wal_dir={wal_dir.name}", "--fsync=data",
+                       "--group_commit_us=200", "--recovery=none"]
+    serve = subprocess.Popen(serve_args, stdout=subprocess.PIPE,
+                             stderr=subprocess.STDOUT, text=True)
     try:
         # Readiness handshake: serve prints "listening on HOST:PORT" once
         # the socket is bound.
@@ -128,12 +166,16 @@ def main():
         if int(match.group(1)) != stats["completed"]:
             fail(f"serve completed {match.group(1)} != "
                  f"drive completed {stats['completed']}")
+        if wal:
+            check_group_commit(tail)
         print(f"OK: {protocol} lambda={lam} sent={stats['sent']} "
               f"completed={stats['completed']} rejected={stats['rejected']} "
               f"p99={stats['resp_p99']:.6f}s")
     finally:
         if serve.poll() is None:
             serve.kill()
+        if wal_dir is not None:
+            wal_dir.cleanup()
 
 
 if __name__ == "__main__":
