@@ -232,14 +232,19 @@ void BTree::RemoveChild(NodeId parent, NodeId child) {
   }
 }
 
-bool BTree::Insert(Key key, Value value) {
-  CBTREE_CHECK_LT(key, kInfKey);
-  std::vector<NodeId> path;
+NodeId BTree::DescendToLeaf(Key key) {
+  path_.clear();
   NodeId id = root_;
   while (!store_.Get(id).is_leaf()) {
-    path.push_back(id);
+    path_.push_back(id);
     id = Child(id, key);
   }
+  return id;
+}
+
+bool BTree::Insert(Key key, Value value) {
+  CBTREE_CHECK_LT(key, kInfKey);
+  NodeId id = DescendToLeaf(key);
   bool inserted = LeafInsert(id, key, value);
   NodeId cur = id;
   while (static_cast<int>(store_.Get(cur).size()) > options_.max_node_size) {
@@ -247,8 +252,8 @@ bool BTree::Insert(Key key, Value value) {
       SplitRootInPlace();
       break;
     }
-    NodeId parent = path.back();
-    path.pop_back();
+    NodeId parent = path_.back();
+    path_.pop_back();
     SplitResult split = Split(cur);
     InsertSplitEntry(parent, split.separator, split.right);
     cur = parent;
@@ -257,18 +262,13 @@ bool BTree::Insert(Key key, Value value) {
 }
 
 bool BTree::Delete(Key key) {
-  std::vector<NodeId> path;
-  NodeId id = root_;
-  while (!store_.Get(id).is_leaf()) {
-    path.push_back(id);
-    id = Child(id, key);
-  }
+  NodeId id = DescendToLeaf(key);
   if (!LeafDelete(id, key)) return false;
   if (options_.merge_policy == MergePolicy::kAtEmpty) {
     NodeId cur = id;
     while (cur != root_ && store_.Get(cur).empty()) {
-      NodeId parent = path.back();
-      path.pop_back();
+      NodeId parent = path_.back();
+      path_.pop_back();
       RemoveChild(parent, cur);
       cur = parent;
     }
@@ -276,8 +276,8 @@ bool BTree::Delete(Key key) {
     NodeId cur = id;
     while (cur != root_ &&
            static_cast<int>(store_.Get(cur).size()) < MinEntries()) {
-      NodeId parent = path.back();
-      path.pop_back();
+      NodeId parent = path_.back();
+      path_.pop_back();
       int idx = FindChildIndex(parent, cur);
       CBTREE_CHECK_GE(idx, 0);
       if (!RebalanceAtHalf(parent, idx)) break;

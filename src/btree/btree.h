@@ -157,12 +157,18 @@ class BTree {
 
   void PromoteLastBound(NodeId id, Key bound);
 
+  /// Descends to the leaf for `key`, leaving its ancestors in path_ (root
+  /// first). Returns the leaf.
+  NodeId DescendToLeaf(Key key);
+
   Options options_;
   NodeStore store_;
   NodeId root_;
   int height_ = 1;
   size_t size_ = 0;
   RestructureStats stats_;
+  /// Scratch descent path reused by Insert and Delete.
+  std::vector<NodeId> path_;
 };
 
 }  // namespace cbtree

@@ -1,5 +1,63 @@
 #include "ctree/latch_check.h"
 
+namespace cbtree {
+namespace latch_check {
+
+// One copy of each name table serves both builds: diagnostic printers may
+// reference them where the hot-path hooks are header-inlined no-ops.
+const char* DisciplineName(Discipline discipline) {
+  switch (discipline) {
+    case Discipline::kNone:
+      return "none";
+    case Discipline::kCrabbingSearch:
+      return "crabbing-search";
+    case Discipline::kCoupledUpdate:
+      return "coupled-update";
+    case Discipline::kTwoPhaseSearch:
+      return "two-phase-search";
+    case Discipline::kOptimisticDescent:
+      return "optimistic-descent";
+    case Discipline::kBLink:
+      return "b-link";
+    case Discipline::kOlc:
+      return "olc";
+  }
+  return "unknown";
+}
+
+const char* RuleName(Rule rule) {
+  switch (rule) {
+    case Rule::kNoOpScope:
+      return "no-op-scope";
+    case Rule::kRelock:
+      return "relock";
+    case Rule::kUpgrade:
+      return "shared-to-exclusive-upgrade";
+    case Rule::kModeForbidden:
+      return "mode-forbidden";
+    case Rule::kMaxHeldExceeded:
+      return "max-held-exceeded";
+    case Rule::kOrder:
+      return "root-to-leaf-order";
+    case Rule::kReleaseNotHeld:
+      return "release-not-held";
+    case Rule::kLatchLeak:
+      return "latch-leak";
+    case Rule::kNestedOpWithLatches:
+      return "nested-op-with-latches";
+    case Rule::kEpochRequired:
+      return "epoch-required";
+  }
+  return "unknown";
+}
+
+const char* ModeName(Mode mode) {
+  return mode == Mode::kShared ? "S" : "X";
+}
+
+}  // namespace latch_check
+}  // namespace cbtree
+
 #if CBTREE_LATCH_CHECK_ENABLED
 
 #include <atomic>
@@ -110,56 +168,6 @@ int MinHeldLevel(const ThreadState& state) {
 
 }  // namespace
 
-const char* DisciplineName(Discipline discipline) {
-  switch (discipline) {
-    case Discipline::kNone:
-      return "none";
-    case Discipline::kCrabbingSearch:
-      return "crabbing-search";
-    case Discipline::kCoupledUpdate:
-      return "coupled-update";
-    case Discipline::kTwoPhaseSearch:
-      return "two-phase-search";
-    case Discipline::kOptimisticDescent:
-      return "optimistic-descent";
-    case Discipline::kBLink:
-      return "b-link";
-    case Discipline::kOlc:
-      return "olc";
-  }
-  return "unknown";
-}
-
-const char* RuleName(Rule rule) {
-  switch (rule) {
-    case Rule::kNoOpScope:
-      return "no-op-scope";
-    case Rule::kRelock:
-      return "relock";
-    case Rule::kUpgrade:
-      return "shared-to-exclusive-upgrade";
-    case Rule::kModeForbidden:
-      return "mode-forbidden";
-    case Rule::kMaxHeldExceeded:
-      return "max-held-exceeded";
-    case Rule::kOrder:
-      return "root-to-leaf-order";
-    case Rule::kReleaseNotHeld:
-      return "release-not-held";
-    case Rule::kLatchLeak:
-      return "latch-leak";
-    case Rule::kNestedOpWithLatches:
-      return "nested-op-with-latches";
-    case Rule::kEpochRequired:
-      return "epoch-required";
-  }
-  return "unknown";
-}
-
-const char* ModeName(Mode mode) {
-  return mode == Mode::kShared ? "S" : "X";
-}
-
 void OnAcquire(const void* node, int level, Mode mode) {
   ThreadState& state = tls;
   g_checked_acquires.fetch_add(1, std::memory_order_relaxed);
@@ -264,66 +272,6 @@ void ResetThreadForTest() {
   tls.held = 0;
   tls.discipline = Discipline::kNone;
   tls.epoch_depth = 0;
-}
-
-}  // namespace latch_check
-}  // namespace cbtree
-
-#else  // !CBTREE_LATCH_CHECK_ENABLED
-
-namespace cbtree {
-namespace latch_check {
-
-// Name tables stay available in disabled builds (diagnostic printers may
-// reference them); the hot-path hooks are header-inlined no-ops.
-const char* DisciplineName(Discipline discipline) {
-  switch (discipline) {
-    case Discipline::kNone:
-      return "none";
-    case Discipline::kCrabbingSearch:
-      return "crabbing-search";
-    case Discipline::kCoupledUpdate:
-      return "coupled-update";
-    case Discipline::kTwoPhaseSearch:
-      return "two-phase-search";
-    case Discipline::kOptimisticDescent:
-      return "optimistic-descent";
-    case Discipline::kBLink:
-      return "b-link";
-    case Discipline::kOlc:
-      return "olc";
-  }
-  return "unknown";
-}
-
-const char* RuleName(Rule rule) {
-  switch (rule) {
-    case Rule::kNoOpScope:
-      return "no-op-scope";
-    case Rule::kRelock:
-      return "relock";
-    case Rule::kUpgrade:
-      return "shared-to-exclusive-upgrade";
-    case Rule::kModeForbidden:
-      return "mode-forbidden";
-    case Rule::kMaxHeldExceeded:
-      return "max-held-exceeded";
-    case Rule::kOrder:
-      return "root-to-leaf-order";
-    case Rule::kReleaseNotHeld:
-      return "release-not-held";
-    case Rule::kLatchLeak:
-      return "latch-leak";
-    case Rule::kNestedOpWithLatches:
-      return "nested-op-with-latches";
-    case Rule::kEpochRequired:
-      return "epoch-required";
-  }
-  return "unknown";
-}
-
-const char* ModeName(Mode mode) {
-  return mode == Mode::kShared ? "S" : "X";
 }
 
 }  // namespace latch_check

@@ -3,19 +3,22 @@
 // exclusive, grants are strictly First-Come-First-Served (a reader never
 // overtakes a queued writer).
 //
-// Grants are delivered through callbacks, possibly synchronously when the
-// lock is free. The manager also time-integrates the writer-presence
-// indicator of one tracked node (the root), which is the simulated
-// counterpart of the model's rho_w(h).
+// A request is first offered to TryAcquire, which grants it on the spot when
+// FCFS allows; only a refused request is queued, with a callback that runs
+// when the lock is granted. Per-node state lives in a table indexed by
+// NodeId, so the per-request path does no hashing. The manager also
+// time-integrates the writer-presence indicator of one tracked node (the
+// root), which is the simulated counterpart of the model's rho_w(h).
 
 #ifndef CBTREE_SIM_LOCK_MANAGER_H_
 #define CBTREE_SIM_LOCK_MANAGER_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <thread>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "btree/node.h"
 #include "stats/accumulator.h"
@@ -38,10 +41,25 @@ class LockManager {
   explicit LockManager(std::function<double()> now_fn)
       : now_fn_(std::move(now_fn)) {}
 
-  /// Requests a lock; `on_grant` runs when it is granted — synchronously if
-  /// the lock is available and nothing is queued. The same operation must
-  /// not hold or await another lock on the same node.
-  void Request(NodeId node, LockMode mode, OpId op, GrantCallback on_grant);
+  /// Grants the lock now iff FCFS allows it: nothing is queued on the node
+  /// and the mode is compatible with the holders. Returns false, changing
+  /// nothing, otherwise. The same operation must not hold or await another
+  /// lock on the same node.
+  bool TryAcquire(NodeId node, LockMode mode, OpId op);
+
+  /// Queues a request that TryAcquire refused; `on_grant` runs when the
+  /// lock is granted.
+  void Enqueue(NodeId node, LockMode mode, OpId op, GrantCallback on_grant);
+
+  /// TryAcquire, else Enqueue: `on_grant` runs synchronously if the lock is
+  /// granted at once.
+  void Request(NodeId node, LockMode mode, OpId op, GrantCallback on_grant) {
+    if (TryAcquire(node, mode, op)) {
+      on_grant();
+    } else {
+      Enqueue(node, mode, op, std::move(on_grant));
+    }
+  }
 
   /// Releases a held lock, cascading FCFS grants.
   void Release(NodeId node, OpId op);
@@ -72,19 +90,36 @@ class LockManager {
     int active_readers = 0;
     bool writer_active = false;
     OpId writer_op = 0;
-    std::deque<Waiter> waiting;
     int writers_present = 0;  ///< active + queued W locks
-    // Reader ownership for Holds/Release checks.
-    std::unordered_map<OpId, int> reader_ops;
+    /// FCFS queue: waiting[head..] are queued, earlier entries are spent.
+    std::vector<Waiter> waiting;
+    size_t head = 0;
+    /// Reader ownership (op, count) for Holds/Release checks.
+    std::vector<std::pair<OpId, int>> reader_ops;
 
-    bool idle() const {
-      return active_readers == 0 && !writer_active && waiting.empty();
+    bool queue_empty() const { return head == waiting.size(); }
+    /// True iff a request in `mode` may be granted ahead of the queue.
+    bool Compatible(LockMode mode) const {
+      return !writer_active && (mode == LockMode::kRead || active_readers == 0);
     }
   };
 
+  /// The node's entry, growing the table to cover `node`.
+  NodeLocks& At(NodeId node) {
+    if (node >= nodes_.size()) nodes_.resize(static_cast<size_t>(node) + 1);
+    return nodes_[node];
+  }
+  /// The node's entry, or nullptr if no request ever reached it.
+  const NodeLocks* Find(NodeId node) const {
+    return node < nodes_.size() ? &nodes_[node] : nullptr;
+  }
+
+  /// Records a granted lock in the node's holder state.
+  void Grant(NodeLocks& locks, LockMode mode, OpId op);
+
   /// Grants whatever the FCFS head allows (a writer, or a maximal run of
-  /// readers). Collects callbacks and runs them after state is consistent.
-  void Dispatch(NodeId node, NodeLocks& locks);
+  /// readers), then runs the granted callbacks once the state is consistent.
+  void Dispatch(NodeId node);
 
   /// The manager is deliberately unsynchronized: it models lock queues
   /// inside the single-threaded discrete-event simulator. This debug check
@@ -103,7 +138,9 @@ class LockManager {
   void UpdateTrackedPresence(NodeId node, const NodeLocks& locks);
 
   std::function<double()> now_fn_;
-  std::unordered_map<NodeId, NodeLocks> nodes_;
+  std::vector<NodeLocks> nodes_;  ///< indexed by NodeId
+  /// Callbacks granted by the Dispatch calls in progress, innermost last.
+  std::vector<GrantCallback> granted_;
   size_t total_held_ = 0;
 
   NodeId tracked_node_ = kInvalidNode;

@@ -53,23 +53,33 @@ double SimOperation::MergeCostAt(NodeId node) {
   return sim_->config().merge_factor * sim_->NodeAccessCost(node);
 }
 
-void SimOperation::AcquireLock(NodeId node, LockMode mode,
-                               std::function<void()> next) {
-  int level = tree().node(node).level;
-  double requested_at = sim_->now();
+SimOperation::LockRequest SimOperation::RequestLock(NodeId node,
+                                                   LockMode mode) {
+  LockRequest request{node, mode, tree().node(node).level, sim_->now(),
+                      false};
   sim_->Trace(obs::TraceEventKind::kLockRequest, id_, LockModeName(mode),
-              level, static_cast<int64_t>(node));
-  sim_->locks().Request(
-      node, mode, id_,
-      [this, node, mode, level, requested_at, next = std::move(next)]() {
-        held_locks_.push_back(HeldLock{node, mode});
-        double wait = sim_->now() - requested_at;
-        sim_->Trace(obs::TraceEventKind::kLockAcquire, id_,
-                    LockModeName(mode), level, static_cast<int64_t>(node),
-                    wait);
-        sim_->RecordLockWait(level, mode, wait);
+              request.level, static_cast<int64_t>(node));
+  request.granted = sim_->locks().TryAcquire(node, mode, id_);
+  if (request.granted) OnLockGranted(request, 0.0);
+  return request;
+}
+
+void SimOperation::QueueLock(const LockRequest& request,
+                             std::function<void()> next) {
+  sim_->locks().Enqueue(
+      request.node, request.mode, id_,
+      [this, request, next = std::move(next)]() {
+        OnLockGranted(request, sim_->now() - request.requested_at);
         next();
       });
+}
+
+void SimOperation::OnLockGranted(const LockRequest& request, double wait) {
+  held_locks_.push_back(HeldLock{request.node, request.mode});
+  sim_->Trace(obs::TraceEventKind::kLockAcquire, id_,
+              LockModeName(request.mode), request.level,
+              static_cast<int64_t>(request.node), wait);
+  sim_->RecordLockWait(request.level, request.mode, wait);
 }
 
 void SimOperation::ReleaseLock(NodeId node) {
@@ -85,11 +95,16 @@ void SimOperation::ReleaseLock(NodeId node) {
 }
 
 void SimOperation::ReleaseAllExcept(NodeId keep) {
-  std::vector<NodeId> to_release;
-  for (const HeldLock& lock : held_locks_) {
-    if (lock.node != keep) to_release.push_back(lock.node);
+  // In acquisition order. ReleaseLock erases the entry at `i`; the grants it
+  // cascades run other operations, which never touch this one's locks.
+  size_t i = 0;
+  while (i < held_locks_.size()) {
+    if (held_locks_[i].node == keep) {
+      ++i;
+    } else {
+      ReleaseLock(held_locks_[i].node);
+    }
   }
-  for (NodeId node : to_release) ReleaseLock(node);
 }
 
 void SimOperation::DoWork(double mean_cost, std::function<void()> next) {
@@ -97,7 +112,11 @@ void SimOperation::DoWork(double mean_cost, std::function<void()> next) {
   sim_->events().ScheduleAfter(duration, std::move(next));
 }
 
-void SimOperation::MarkModified(NodeId node) { modified_.insert(node); }
+void SimOperation::MarkModified(NodeId node) {
+  if (std::find(modified_.begin(), modified_.end(), node) == modified_.end()) {
+    modified_.push_back(node);
+  }
+}
 
 void SimOperation::Finish() {
   // Apply the recovery policy: W locks on retained nodes stay held until the
@@ -107,10 +126,12 @@ void SimOperation::Finish() {
   std::vector<NodeId> retained;
   if (recovery.policy != RecoveryPolicy::kNone &&
       op_.type != OpType::kSearch) {
-    std::vector<HeldLock> keep;
     for (const HeldLock& lock : held_locks_) {
       if (lock.mode != LockMode::kWrite) continue;
-      if (!modified_.count(lock.node)) continue;
+      if (std::find(modified_.begin(), modified_.end(), lock.node) ==
+          modified_.end()) {
+        continue;
+      }
       bool is_leaf = tree().node(lock.node).is_leaf();
       if (recovery.policy == RecoveryPolicy::kNaive || is_leaf) {
         retained.push_back(lock.node);

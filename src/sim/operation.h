@@ -10,7 +10,7 @@
 #define CBTREE_SIM_OPERATION_H_
 
 #include <functional>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "btree/node.h"
@@ -45,8 +45,17 @@ class SimOperation {
   // -- services provided to the protocol implementations --------------------
 
   /// Requests a lock; `next` runs when granted (the wait is recorded against
-  /// the node's level).
-  void AcquireLock(NodeId node, LockMode mode, std::function<void()> next);
+  /// the node's level). An uncontended grant runs `next` inline with wait
+  /// 0; only a queued request wraps it in a callback.
+  template <typename Next>
+  void AcquireLock(NodeId node, LockMode mode, Next&& next) {
+    LockRequest request = RequestLock(node, mode);
+    if (request.granted) {
+      next();
+    } else {
+      QueueLock(request, std::function<void()>(std::forward<Next>(next)));
+    }
+  }
   void ReleaseLock(NodeId node);
   /// Releases every held lock except `keep` (kInvalidNode = release all).
   void ReleaseAllExcept(NodeId keep = kInvalidNode);
@@ -86,12 +95,26 @@ class SimOperation {
   bool Holds(NodeId node) const;
 
  private:
+  struct LockRequest {
+    NodeId node;
+    LockMode mode;
+    int level;
+    double requested_at;
+    bool granted;
+  };
+  /// Traces the request and takes the lock if it is free now.
+  LockRequest RequestLock(NodeId node, LockMode mode);
+  /// Queues a request RequestLock could not grant; `next` runs on grant.
+  void QueueLock(const LockRequest& request, std::function<void()> next);
+  /// Bookkeeping of a grant: held set, trace and wait statistics.
+  void OnLockGranted(const LockRequest& request, double wait);
+
   Simulator* sim_;
   OpId id_;
   Operation op_;
   double arrival_time_;
   std::vector<HeldLock> held_locks_;
-  std::set<NodeId> modified_;
+  std::vector<NodeId> modified_;  ///< distinct nodes, in marking order
 };
 
 }  // namespace cbtree

@@ -83,25 +83,25 @@ void Simulator::RecordLinkCrossing(OpId op, NodeId node) {
 }
 
 void Simulator::NoteWriteLock(NodeId node) {
+  if (node >= olc_versions_.size()) olc_versions_.resize(node + size_t{1});
   OlcVersionState& state = olc_versions_[node];
   ++state.depth;
   state.last_bump = now();
 }
 
 void Simulator::NoteWriteUnlock(NodeId node) {
+  CBTREE_CHECK_LT(node, olc_versions_.size()) << "unlock without a lock";
   OlcVersionState& state = olc_versions_[node];
   --state.depth;
   state.last_bump = now();
 }
 
 bool Simulator::WriteLocked(NodeId node) const {
-  auto it = olc_versions_.find(node);
-  return it != olc_versions_.end() && it->second.depth > 0;
+  return node < olc_versions_.size() && olc_versions_[node].depth > 0;
 }
 
 double Simulator::LastVersionBump(NodeId node) const {
-  auto it = olc_versions_.find(node);
-  return it == olc_versions_.end() ? 0.0 : it->second.last_bump;
+  return node < olc_versions_.size() ? olc_versions_[node].last_bump : 0.0;
 }
 
 double Simulator::NodeAccessCost(NodeId node) {

@@ -192,7 +192,8 @@ class Simulator {
     int depth = 0;        ///< write-lock nesting (0 or 1 in practice)
     double last_bump = 0.0;
   };
-  std::unordered_map<NodeId, OlcVersionState> olc_versions_;
+  /// Indexed by NodeId; grown on the first write lock of a higher id.
+  std::vector<OlcVersionState> olc_versions_;
 
   std::unordered_map<OpId, std::unique_ptr<SimOperation>> active_ops_;
   std::vector<OpId> retired_;

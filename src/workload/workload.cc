@@ -19,13 +19,57 @@ const char* OpTypeName(OpType type) {
   return "unknown";
 }
 
+size_t KeyPool::Home(Key key) const {
+  return static_cast<size_t>(
+      (static_cast<uint64_t>(key) * 0x9e3779b97f4a7c15ull) >> shift_);
+}
+
+size_t KeyPool::Find(Key key) const {
+  const size_t mask = table_.size() - 1;
+  size_t slot = Home(key);
+  while (table_[slot].pos != kEmpty && table_[slot].key != key) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+void KeyPool::Grow() {
+  size_t capacity = table_.empty() ? 16 : 2 * table_.size();
+  table_.assign(capacity, Slot{});
+  shift_ = 64;
+  for (size_t c = capacity; c > 1; c >>= 1) --shift_;
+  for (size_t pos = 0; pos < keys_.size(); ++pos) {
+    table_[Find(keys_[pos])] = Slot{keys_[pos], pos};
+  }
+}
+
+void KeyPool::Erase(size_t slot) {
+  const size_t mask = table_.size() - 1;
+  size_t gap = slot;
+  for (size_t next = (gap + 1) & mask; table_[next].pos != kEmpty;
+       next = (next + 1) & mask) {
+    // An entry may move back into the gap only if that does not put it
+    // before its home slot: its probe distance must cover the gap.
+    if (((next - Home(table_[next].key)) & mask) >= ((next - gap) & mask)) {
+      table_[gap] = table_[next];
+      gap = next;
+    }
+  }
+  table_[gap].pos = kEmpty;
+}
+
 void KeyPool::Add(Key key) {
-  if (index_.count(key)) return;
-  index_[key] = keys_.size();
+  // Keep the load factor at most 3/4 so probe runs stay short.
+  if (4 * (keys_.size() + 1) > 3 * table_.size()) Grow();
+  size_t slot = Find(key);
+  if (table_[slot].pos != kEmpty) return;
+  table_[slot] = Slot{key, keys_.size()};
   keys_.push_back(key);
 }
 
-bool KeyPool::Contains(Key key) const { return index_.count(key) > 0; }
+bool KeyPool::Contains(Key key) const {
+  return !table_.empty() && table_[Find(key)].pos != kEmpty;
+}
 
 size_t SampleZipfIndex(Rng& rng, size_t n, double zipf_skew) {
   CBTREE_CHECK_GT(n, 0u);
@@ -55,14 +99,15 @@ Key KeyPool::SampleAndRemove(Rng& rng, double zipf_skew) {
 }
 
 void KeyPool::Remove(Key key) {
-  auto it = index_.find(key);
-  CBTREE_CHECK(it != index_.end()) << "removing unknown key";
-  size_t idx = it->second;
+  CBTREE_CHECK(!keys_.empty()) << "removing unknown key";
+  size_t slot = Find(key);
+  CBTREE_CHECK(table_[slot].pos != kEmpty) << "removing unknown key";
+  size_t idx = table_[slot].pos;
   Key last = keys_.back();
   keys_[idx] = last;
-  index_[last] = idx;
+  table_[Find(last)].pos = idx;
   keys_.pop_back();
-  index_.erase(it);
+  Erase(slot);
 }
 
 WorkloadGenerator::WorkloadGenerator(Options options)

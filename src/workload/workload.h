@@ -10,8 +10,8 @@
 #ifndef CBTREE_WORKLOAD_WORKLOAD_H_
 #define CBTREE_WORKLOAD_WORKLOAD_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "btree/btree.h"
@@ -39,8 +39,13 @@ struct Operation {
 
 /// The set of keys currently believed live, supporting O(1) random sampling
 /// and removal (swap-pop with a position index).
+///
+/// The index is an open-addressing table of (key, position) pairs with
+/// linear probing and backward-shift deletion, so adding and removing a key
+/// allocates nothing once the table has grown; any int64_t is a valid key.
 class KeyPool {
  public:
+  /// Adds a key; a key already in the pool is ignored.
   void Add(Key key);
   bool Contains(Key key) const;
   /// Samples a key, uniformly or by rank-skew (rank 0 = first inserted).
@@ -52,10 +57,25 @@ class KeyPool {
   bool empty() const { return keys_.empty(); }
 
  private:
+  static constexpr size_t kEmpty = ~size_t{0};
+  struct Slot {
+    Key key = 0;
+    size_t pos = kEmpty;  ///< index into keys_, kEmpty for a free slot
+  };
+
   size_t SampleIndex(Rng& rng, double zipf_skew) const;
+  /// Home slot of a key (Fibonacci hashing onto the power-of-two table).
+  size_t Home(Key key) const;
+  /// Slot holding `key`, or the free slot that ends its probe run.
+  size_t Find(Key key) const;
+  /// Doubles the table and re-indexes keys_ into it.
+  void Grow();
+  /// Frees a slot, shifting the rest of its probe run back into the gap.
+  void Erase(size_t slot);
 
   std::vector<Key> keys_;
-  std::unordered_map<Key, size_t> index_;
+  std::vector<Slot> table_;  ///< size is 0 or a power of two
+  int shift_ = 64;           ///< 64 - log2(table_.size())
 };
 
 /// Draws operations in the configured mix, maintaining the key pool.

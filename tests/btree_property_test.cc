@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <tuple>
 
 #include "btree/btree.h"
@@ -19,6 +20,14 @@ struct PropertyParam {
   int key_range;   // small ranges force heavy delete/reinsert churn
   uint64_t seed;
 };
+
+// Without this gtest prints the struct's raw bytes, padding included, into
+// each ctest name, so the names would change from build to build.
+void PrintTo(const PropertyParam& param, std::ostream* os) {
+  *os << "N" << param.max_node_size
+      << (param.policy == MergePolicy::kAtEmpty ? " AtEmpty" : " AtHalf")
+      << " range" << param.key_range << " seed" << param.seed;
+}
 
 class BTreeOracleTest : public ::testing::TestWithParam<PropertyParam> {};
 

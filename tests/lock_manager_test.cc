@@ -1,5 +1,6 @@
 // FCFS R/W lock-queue semantics: sharing, exclusion, strict FCFS (no reader
-// overtaking a queued writer), reader batching, and writer-presence tracking.
+// overtaking a queued writer), reader batching, writer-presence tracking,
+// the TryAcquire/Enqueue split, and node ids beyond the per-node table.
 
 #include <gtest/gtest.h>
 
@@ -135,6 +136,72 @@ TEST_F(LockManagerTest, QueuedWriterCountsAsPresent) {
   now_ = 10.0;
   // Present on [2, 8) = 6 of 10 time units.
   EXPECT_NEAR(locks_.TrackedWriterPresence(), 0.6, 1e-12);
+}
+
+TEST_F(LockManagerTest, ImmediateReaderThenQueuedWriterKeepFcfsOrder) {
+  ASSERT_TRUE(locks_.TryAcquire(1, LockMode::kRead, 1));
+  // Refused requests change nothing until they are queued.
+  EXPECT_FALSE(locks_.TryAcquire(1, LockMode::kWrite, 2));
+  EXPECT_EQ(locks_.total_held(), 1u);
+  locks_.Enqueue(1, LockMode::kWrite, 2, [this] { grants_.push_back("W2"); });
+  // A reader that would be compatible with the holder must not overtake
+  // the queued writer.
+  EXPECT_FALSE(locks_.TryAcquire(1, LockMode::kRead, 3));
+  locks_.Enqueue(1, LockMode::kRead, 3, [this] { grants_.push_back("R3"); });
+  EXPECT_TRUE(grants_.empty());
+  locks_.Release(1, 1);
+  EXPECT_EQ(grants_, (std::vector<std::string>{"W2"}));
+  locks_.Release(1, 2);
+  EXPECT_EQ(grants_, (std::vector<std::string>{"W2", "R3"}));
+  EXPECT_TRUE(locks_.Holds(1, 3));
+  locks_.Release(1, 3);
+  EXPECT_EQ(locks_.total_held(), 0u);
+  EXPECT_TRUE(locks_.TryAcquire(1, LockMode::kWrite, 4));
+}
+
+TEST_F(LockManagerTest, NodeIdsAboveAnySeenSoFar) {
+  const NodeId high = 1u << 20;
+  EXPECT_FALSE(locks_.Holds(high, 1));
+  locks_.NotifyNodeFreed(high);  // never locked: nothing to check
+  Request(3, LockMode::kWrite, 1);
+  Request(high, LockMode::kWrite, 2);
+  EXPECT_TRUE(locks_.Holds(3, 1));
+  EXPECT_TRUE(locks_.Holds(high, 2));
+  EXPECT_FALSE(locks_.Holds(high - 1, 2));
+  EXPECT_FALSE(locks_.Holds(high + 1, 2));
+  locks_.Release(high, 2);
+  locks_.NotifyNodeFreed(high);
+  locks_.NotifyNodeFreed(high + 7);
+  EXPECT_EQ(grants_, (std::vector<std::string>{"W1", "W2"}));
+}
+
+TEST_F(LockManagerTest, GrantCallbacksMayGrowTheTable) {
+  // Granted readers request locks on ever higher node ids from inside their
+  // callbacks, so the per-node table grows while a batch is being granted.
+  Request(1, LockMode::kWrite, 1);
+  for (OpId op = 2; op <= 5; ++op) {
+    locks_.Request(1, LockMode::kRead, op, [this, op] {
+      grants_.push_back("R" + std::to_string(op));
+      Request(static_cast<NodeId>(1000 * op), LockMode::kWrite, op);
+    });
+  }
+  Request(1, LockMode::kWrite, 6);
+  locks_.Release(1, 1);
+  EXPECT_EQ(grants_, (std::vector<std::string>{"W1", "R2", "W2", "R3", "W3",
+                                               "R4", "W4", "R5", "W5"}));
+  for (OpId op = 2; op <= 5; ++op) {
+    EXPECT_TRUE(locks_.Holds(1, op));
+    EXPECT_TRUE(locks_.Holds(static_cast<NodeId>(1000 * op), op));
+    locks_.Release(1, op);
+  }
+  EXPECT_EQ(grants_.back(), "W6");
+}
+
+TEST(LockManagerDeathTest, ReleaseAboveAnySeenNodeAborts) {
+  double now = 0.0;
+  LockManager locks([&now] { return now; });
+  locks.Request(1, LockMode::kWrite, 7, [] {});
+  EXPECT_DEATH(locks.Release(1u << 20, 7), "release on unlocked node");
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "btree/validate.h"
 #include "sim/simulator.h"
@@ -92,6 +94,67 @@ TEST_P(SimulatorAlgorithmTest, ResponseGrowsWithLoad) {
   ASSERT_FALSE(low.saturated);
   ASSERT_FALSE(high.saturated);
   EXPECT_GT(high.resp_all.mean(), low.resp_all.mean());
+}
+
+// Everything a run reports that a seed must reproduce, with the doubles in
+// hex-float form so a single changed bit shows.
+std::string Digest(const SimResult& r) {
+  char buffer[256];
+  std::snprintf(buffer, sizeof(buffer), "%llu %llu %llu %llu %a %a %a",
+                static_cast<unsigned long long>(r.completed),
+                static_cast<unsigned long long>(r.events),
+                static_cast<unsigned long long>(r.restarts),
+                static_cast<unsigned long long>(r.link_crossings),
+                r.resp_all.mean(), r.end_time, r.root_writer_utilization);
+  return buffer;
+}
+
+// The simulation itself, pinned across changes to the simulator's data
+// structures: perfbench model-paper's configuration (20k items, N=13, disk
+// cost 5, 30/50/20, 10k ops after a 1k warm-up) must reproduce these
+// digests bit for bit. A faster simulator has to be the same simulator.
+TEST_P(SimulatorAlgorithmTest, ModelPaperDigestIsPinned) {
+  struct Expected {
+    Algorithm algorithm;
+    const char* seed1;
+    const char* seed2;
+  };
+  static constexpr Expected kExpected[] = {
+      {Algorithm::kNaiveLockCoupling,
+       "9000 60406 0 0 0x1.7560091af43e4p+4 "
+       "0x1.02e2119352cd8p+15 0x1.5014570347da1p-2",
+       "9000 60396 0 0 0x1.87fae2fa1b836p+4 "
+       "0x1.03e784f672a85p+15 0x1.773e2d57efbbdp-2"},
+      {Algorithm::kOptimisticDescent,
+       "9000 61894 337 0 0x1.5d5160dd62e77p+4 "
+       "0x1.02d60003c6c38p+15 0x1.674c7552dc332p-6",
+       "9000 61828 316 0 0x1.68ed96531119dp+4 "
+       "0x1.040983a9d069fp+15 0x1.bed5d8a4a4778p-6"},
+      {Algorithm::kLinkType,
+       "9000 60813 0 3 0x1.59992f5e1384cp+4 "
+       "0x1.02a3dc64f1fb8p+15 0x1.fed4171ae08b3p-15",
+       "9000 60793 0 2 0x1.58bbf3fd84a18p+4 "
+       "0x1.03e04a9fa9d6fp+15 0x1.6b743b7e1d98ap-13"},
+      {Algorithm::kTwoPhaseLocking,
+       "9000 60406 0 0 0x1.8d05a78b77ca6p+4 "
+       "0x1.e49f3fb1db9a9p+19 0x1.596b8d301521ep-3",
+       "9000 60396 0 0 0x1.9246c7fdc1f8bp+4 "
+       "0x1.e6e78c9e511a8p+19 0x1.576fb1b9f6b97p-3"},
+  };
+  const Expected* expected = nullptr;
+  for (const Expected& e : kExpected) {
+    if (e.algorithm == GetParam()) expected = &e;
+  }
+  ASSERT_NE(expected, nullptr);
+  SimConfig config = SmallConfig(
+      GetParam(), GetParam() == Algorithm::kTwoPhaseLocking ? 0.01 : 0.3);
+  config.num_items = 20000;
+  config.num_operations = 10000;
+  config.warmup_operations = 1000;
+  config.seed = 1;
+  EXPECT_EQ(Digest(Simulator(config).Run()), expected->seed1);
+  config.seed = 2;
+  EXPECT_EQ(Digest(Simulator(config).Run()), expected->seed2);
 }
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, SimulatorAlgorithmTest,

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <set>
+#include <vector>
+
 #include "btree/validate.h"
 #include "workload/workload.h"
 
@@ -29,6 +35,137 @@ TEST(KeyPoolTest, AddDuplicateIsNoop) {
   pool.Add(5);
   pool.Add(5);
   EXPECT_EQ(pool.size(), 1u);
+}
+
+TEST(KeyPoolTest, NegativeAndExtremeKeys) {
+  const std::vector<Key> keys = {-1, 0, 1, -5, std::numeric_limits<Key>::min(),
+                                 std::numeric_limits<Key>::max(), -1000000007};
+  KeyPool pool;
+  for (Key key : keys) pool.Add(key);
+  EXPECT_EQ(pool.size(), keys.size());
+  for (Key key : keys) EXPECT_TRUE(pool.Contains(key)) << key;
+  EXPECT_FALSE(pool.Contains(2));
+  EXPECT_FALSE(pool.Contains(-2));
+  pool.Remove(std::numeric_limits<Key>::min());
+  pool.Remove(-1);
+  EXPECT_FALSE(pool.Contains(std::numeric_limits<Key>::min()));
+  EXPECT_FALSE(pool.Contains(-1));
+  EXPECT_TRUE(pool.Contains(std::numeric_limits<Key>::max()));
+  EXPECT_EQ(pool.size(), keys.size() - 2);
+}
+
+// Multiplicative inverse of an odd 64-bit constant (Newton's iteration).
+constexpr uint64_t InverseOf(uint64_t odd) {
+  uint64_t x = odd;
+  for (int i = 0; i < 6; ++i) x *= 2 - odd * x;
+  return x;
+}
+
+TEST(KeyPoolTest, CollidingKeysAndWrapAround) {
+  // The index hashes by multiplying with this constant and keeping the top
+  // bits, so key j * inverse lands in slot 0 and key (-1 - j) * inverse in
+  // the last slot, whatever the table size. Their probe runs collide and
+  // wrap around the end of the table. (Under any other hash these are just
+  // distinct keys and the checks below still hold.)
+  constexpr uint64_t kInverse = InverseOf(0x9e3779b97f4a7c15ull);
+  static_assert(kInverse * 0x9e3779b97f4a7c15ull == 1);
+  std::vector<Key> keys;
+  for (uint64_t j = 0; j < 6; ++j) {
+    keys.push_back(static_cast<Key>(j * kInverse));
+    keys.push_back(static_cast<Key>((~uint64_t{0} - j) * kInverse));
+  }
+  KeyPool pool;
+  for (Key key : keys) pool.Add(key);
+  ASSERT_EQ(pool.size(), keys.size());
+  // Remove from the middle of the runs; the entries behind each gap must
+  // stay reachable.
+  for (size_t i = 0; i < keys.size(); i += 3) pool.Remove(keys[i]);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(pool.Contains(keys[i]), i % 3 != 0) << i;
+  }
+  for (size_t i = 0; i < keys.size(); i += 3) pool.Add(keys[i]);
+  for (Key key : keys) EXPECT_TRUE(pool.Contains(key));
+  EXPECT_EQ(pool.size(), keys.size());
+}
+
+TEST(KeyPoolTest, RemoveLastAndOnlyKeyThenReAdd) {
+  KeyPool pool;
+  Rng rng(1);
+  pool.Add(42);
+  pool.Remove(42);
+  EXPECT_TRUE(pool.empty());
+  EXPECT_FALSE(pool.Contains(42));
+  pool.Add(42);
+  EXPECT_TRUE(pool.Contains(42));
+  EXPECT_EQ(pool.Sample(rng), 42);
+  // The key in the last position: the swap-pop moves nothing.
+  pool.Add(7);
+  pool.Remove(7);
+  EXPECT_EQ(pool.size(), 1u);
+  EXPECT_TRUE(pool.Contains(42));
+  EXPECT_FALSE(pool.Contains(7));
+  EXPECT_EQ(pool.SampleAndRemove(rng), 42);
+  EXPECT_TRUE(pool.empty());
+  pool.Add(7);
+  EXPECT_EQ(pool.Sample(rng), 7);
+}
+
+TEST(KeyPoolTest, RandomOperationsMatchOracle) {
+  // The oracle keeps the live set and the pool's swap-pop order, so a
+  // sample drawn with an identically seeded Rng must name the same key.
+  KeyPool pool;
+  std::set<Key> live;
+  std::vector<Key> order;
+  auto oracle_remove = [&](Key key) {
+    auto it = std::find(order.begin(), order.end(), key);
+    ASSERT_NE(it, order.end());
+    *it = order.back();
+    order.pop_back();
+    live.erase(key);
+  };
+  Rng dice(3);
+  Rng pool_rng(4);
+  Rng oracle_rng(4);
+  for (int step = 0; step < 100000; ++step) {
+    // A small signed range, so adds repeat live keys and re-add dead ones.
+    const Key key = static_cast<Key>(dice.NextBounded(4096)) - 2048;
+    const double skew = step % 2 == 0 ? 0.0 : 0.8;
+    switch (dice.NextBounded(5)) {
+      case 0:
+      case 1:
+        pool.Add(key);
+        if (live.insert(key).second) order.push_back(key);
+        break;
+      case 2:
+        if (live.count(key) > 0) {
+          pool.Remove(key);
+          oracle_remove(key);
+        }
+        break;
+      case 3:
+        if (!live.empty()) {
+          const Key got = pool.SampleAndRemove(pool_rng, skew);
+          ASSERT_EQ(got, order[SampleZipfIndex(oracle_rng, order.size(),
+                                               skew)])
+              << "step " << step;
+          oracle_remove(got);
+        }
+        break;
+      default:
+        if (!live.empty()) {
+          ASSERT_EQ(pool.Sample(pool_rng, skew),
+                    order[SampleZipfIndex(oracle_rng, order.size(), skew)])
+              << "step " << step;
+        }
+        break;
+    }
+    ASSERT_EQ(pool.size(), live.size()) << "step " << step;
+    ASSERT_EQ(pool.Contains(key), live.count(key) > 0) << "step " << step;
+  }
+  EXPECT_GT(live.size(), 100u);
+  for (Key key = -2048; key < 2048; ++key) {
+    ASSERT_EQ(pool.Contains(key), live.count(key) > 0) << key;
+  }
 }
 
 TEST(WorkloadGeneratorTest, MixProportionsRespected) {

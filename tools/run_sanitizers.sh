@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Builds the concurrency-sensitive targets under a sanitizer and runs their
-# tests. The threaded trees (src/ctree/) and the experiment runner
-# (src/runner/) are the only genuinely multi-threaded code in the repo, so
-# those suites are what a sanitizer can catch regressions in.
+# Builds the sanitizer-sensitive targets under a sanitizer and runs their
+# tests: the multi-threaded code (the threaded trees in src/ctree/, the
+# experiment runner in src/runner/, the network service and the log), plus
+# the single-threaded simulator's hand-rolled containers, which are ASan's
+# and UBSan's business.
 #
 #   tools/run_sanitizers.sh            # thread sanitizer (the default)
 #   tools/run_sanitizers.sh address    # address sanitizer
@@ -37,11 +38,16 @@ sanitizers=("${@:-thread}")
 # thread and the durability waiters (TSAN), wal_fuzz_test decodes mutated
 # frames from exactly-sized heap buffers (ASan red-zones), and
 # wal_recovery_test replays logs into live trees — recovery must come up
-# LeakSanitizer-clean.
+# LeakSanitizer-clean. The simulator suites: workload_test drives the key
+# pool's open-addressing index (linear probing, backward-shift deletion),
+# lock_manager_test grows the per-node lock table from inside grant
+# callbacks (references into a growing vector), btree_test covers the
+# reused descent path, and simulator_test runs all of it end to end.
 test_targets=(ctree_test runner_test runner_experiment_test obs_test
               net_server_test net_shard_test net_proto_fuzz_test
               net_stats_test epoch_test olc_tree_test
-              wal_test wal_recovery_test wal_fuzz_test)
+              wal_test wal_recovery_test wal_fuzz_test
+              workload_test lock_manager_test btree_test simulator_test)
 
 for sanitizer in "${sanitizers[@]}"; do
   case "$sanitizer" in
